@@ -2,13 +2,23 @@ package router
 
 // The router's HTTP front: the same /v1 surface touchserved exposes,
 // answered by proxying over the binary wire protocol to the ring
-// owners. Query and join responses are re-rendered into the exact JSON
-// shapes the backends emit, so for range/point/knn a client cannot
-// tell a router answer from a direct backend answer byte-for-byte.
-// Deliberate differences, documented in README.md:
+// owners. Requests are decoded, validated and answered with the
+// server's own JSON codec (internal/api), so for queries, updates and
+// client errors a router answer is byte-for-byte a direct backend
+// answer. The remaining differences, listed in README.md:
 //
-//   - Joins carry no "stats" object and no trace: the wire protocol
-//     does not stream the engine's join statistics.
+//   - Joins carry no "stats" object and no trace: the wire protocol does
+//     not stream the engine's join statistics.
+//   - A named-probe join reports "probe_objects":0 and no
+//     "probe_version": the wire's join answer does not carry them.
+//   - Answers carry no X-Touch-Request-Id header, X-Touch-Trace is
+//     ignored, and joins are always buffered (no NDJSON streaming and no
+//     pair cap).
+//   - The body cap is maxBodyBytes, and a join that names no probe (or
+//     both) on an unknown dataset is a 400 here, a 404 on a backend:
+//     the probe side is checked before forwarding.
+//   - no_backend, not_routable and the router's own timeout are errors
+//     only the router raises.
 //   - GET /v1/datasets is the merged, provenance-annotated catalog —
 //     a router-specific shape, not one backend's listing.
 //   - Loads and deletes are not routed: dataset placement is by name,
@@ -17,116 +27,36 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 )
 
 // maxBodyBytes caps proxied request bodies (queries, joins, updates).
 const maxBodyBytes = 64 << 20
 
-// Router-specific error codes, extending the server's vocabulary.
-const (
-	// codeNoBackend: every ring owner for the dataset was unreachable.
-	codeNoBackend = "no_backend"
-	// codeNotRoutable: the operation exists on backends but is not
-	// proxied (load, delete).
-	codeNotRoutable = "not_routable"
-)
-
-// statusForCode maps the wire error vocabulary back onto the HTTP
-// statuses the backends themselves would have used, so a proxied error
-// keeps its status across the transport change.
-func statusForCode(code string) int {
-	switch code {
-	case "bad_request", "invalid_box", "invalid_point", "invalid_k", "invalid_eps", "invalid_name":
-		return http.StatusBadRequest
-	case "unknown_dataset", "not_found":
-		return http.StatusNotFound
-	case "method_not_allowed":
-		return http.StatusMethodNotAllowed
-	case "body_too_large":
-		return http.StatusRequestEntityTooLarge
-	case "unsupported_type":
-		return http.StatusUnsupportedMediaType
-	case "result_too_large", "id_space_exhausted":
-		return http.StatusUnprocessableEntity
-	case "overload":
-		return http.StatusTooManyRequests
-	case "building", "timeout", "draining":
-		return http.StatusServiceUnavailable
-	case "client_closed":
-		return 499
-	case "internal":
-		return http.StatusInternalServerError
-	}
-	return http.StatusBadGateway
-}
-
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorBody struct {
-	Error apiError `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
-// writeProxiedError maps a read/update failure onto the HTTP response:
-// backend answers keep their own code and status, connection-level
-// exhaustion becomes a 502, context expiry the usual timeout shape.
-func writeProxiedError(w http.ResponseWriter, err error) {
+// proxyError maps a forwarding failure onto the error vocabulary, for
+// both fronts: backend answers keep their own code and message,
+// connection-level exhaustion is no_backend, context expiry the usual
+// timeout / client_closed pair.
+func proxyError(err error) *api.Error {
 	var se *client.ServerError
 	switch {
 	case errors.As(err, &se):
-		writeError(w, statusForCode(se.Code), se.Code, "%s", se.Message)
+		return &api.Error{Code: se.Code, Message: se.Message}
 	case IsNoBackend(err):
-		writeError(w, http.StatusBadGateway, codeNoBackend, "%v", err)
+		// Checked before the context cases: the last owner's failure it
+		// wraps may be a dial's own deadline, not the caller's budget.
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "timeout", "request exceeded the router's processing budget")
+		return &api.Error{Code: api.CodeTimeout, Message: "request exceeded the router's processing budget"}
 	case errors.Is(err, context.Canceled):
-		writeError(w, 499, "client_closed", "request canceled by client")
-	default:
-		writeError(w, http.StatusBadGateway, codeNoBackend, "%v", err)
+		return &api.Error{Code: api.CodeClientClosed, Message: "request canceled by client"}
 	}
-}
-
-func validName(name string) bool {
-	if len(name) == 0 || len(name) > 128 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func decodeJSONBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	return dec.Decode(into)
+	return &api.Error{Code: api.CodeNoBackend, Message: err.Error()}
 }
 
 // ServeHTTP is the router's HTTP surface: /healthz, /metrics, and the
@@ -143,7 +73,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	case "/v1/datasets":
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET on /v1/datasets")
+			api.WriteError(w, api.Errorf(api.CodeMethod, "use GET on /v1/datasets"))
 			return
 		}
 		rt.handleCatalog(w, r)
@@ -151,15 +81,16 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rest, ok := strings.CutPrefix(path, "/v1/datasets/")
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown route %q", path)
+		api.WriteError(w, api.Errorf(api.CodeNotFound, "unknown route %q", path))
 		return
 	}
 	name, action, _ := strings.Cut(rest, "/")
-	if !validName(name) {
-		writeError(w, http.StatusBadRequest, "invalid_name",
-			"dataset name must be 1-128 chars of [A-Za-z0-9._-], got %q", name)
+	if !api.ValidName(name) {
+		api.WriteError(w, api.Errorf(api.CodeInvalidName,
+			"dataset name must be 1-128 chars of [A-Za-z0-9._-], got %q", name))
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 	switch action {
@@ -168,26 +99,26 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case http.MethodPatch:
 			rt.handleUpdate(ctx, w, r, name)
 		case http.MethodPost, http.MethodDelete:
-			writeError(w, http.StatusNotImplemented, codeNotRoutable,
+			api.WriteError(w, api.Errorf(api.CodeNotRoutable,
 				"the router does not proxy dataset loads or deletes; address the owning backends directly (owners of %q: %s)",
-				name, strings.Join(rt.Owners(name), ", "))
+				name, strings.Join(rt.Owners(name), ", ")))
 		default:
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use PATCH on /v1/datasets/{name}")
+			api.WriteError(w, api.Errorf(api.CodeMethod, "use PATCH on /v1/datasets/{name}"))
 		}
 	case "query":
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST on /v1/datasets/{name}/query")
+			api.WriteError(w, api.Errorf(api.CodeMethod, "use POST on /v1/datasets/{name}/query"))
 			return
 		}
 		rt.handleQuery(ctx, w, r, name)
 	case "join":
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST on /v1/datasets/{name}/join")
+			api.WriteError(w, api.Errorf(api.CodeMethod, "use POST on /v1/datasets/{name}/join"))
 			return
 		}
 		rt.handleJoin(ctx, w, r, name)
 	default:
-		writeError(w, http.StatusNotFound, "not_found", "unknown action %q", action)
+		api.WriteError(w, api.Errorf(api.CodeNotFound, "unknown action %q", action))
 	}
 }
 
@@ -204,201 +135,82 @@ func (rt *Router) handleHealthz(w http.ResponseWriter) {
 		// the load balancer to stop sending traffic here.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, struct {
+	api.WriteJSON(w, status, struct {
 		Status   string `json:"status"`
 		Backends int    `json:"backends"`
 		Healthy  int    `json:"healthy"`
 	}{Status: map[bool]string{true: "ok", false: "no_backends"}[healthy > 0], Backends: len(rt.backends), Healthy: healthy})
 }
 
-// --- query ----------------------------------------------------------------
-
-// The request/response shapes below mirror internal/server byte for
-// byte; field order and omitempty placement matter for the identity
-// guarantee the router tests pin.
-
-type queryRequest struct {
-	Type  string    `json:"type"`
-	Box   []float64 `json:"box,omitempty"`
-	Point []float64 `json:"point,omitempty"`
-	K     int       `json:"k,omitempty"`
-}
-
-type neighborJSON struct {
-	ID       touch.ID `json:"id"`
-	Distance float64  `json:"distance"`
-}
-
-type queryResponse struct {
-	Dataset   string         `json:"dataset"`
-	Version   int64          `json:"version"`
-	Type      string         `json:"type"`
-	Count     int            `json:"count"`
-	IDs       []touch.ID     `json:"ids,omitempty"`
-	Neighbors []neighborJSON `json:"neighbors,omitempty"`
-}
-
 func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
+	var req api.QueryRequest
+	e := api.DecodeJSON(r, &req)
+	var q api.Query
+	if e == nil {
+		q, e = req.Query()
+	}
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	resp := queryResponse{Dataset: name, Type: req.Type}
-	var err error
-	switch req.Type {
-	case "range":
-		if len(req.Box) != 6 {
-			writeError(w, http.StatusBadRequest, "invalid_box", "range query needs a 6-number box, got %d", len(req.Box))
-			return
-		}
-		box := touch.Box{
-			Min: touch.Point{req.Box[0], req.Box[1], req.Box[2]},
-			Max: touch.Point{req.Box[3], req.Box[4], req.Box[5]},
-		}
-		resp.Version, resp.IDs, err = rt.Range(ctx, name, box)
-		resp.Count = len(resp.IDs)
-	case "point":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, "invalid_point", "point query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		resp.Version, resp.IDs, err = rt.Point(ctx, name, touch.Point{req.Point[0], req.Point[1], req.Point[2]})
-		resp.Count = len(resp.IDs)
-	case "knn":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, "invalid_point", "knn query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		var nbrs []touch.Neighbor
-		resp.Version, nbrs, err = rt.KNN(ctx, name, touch.Point{req.Point[0], req.Point[1], req.Point[2]}, req.K)
-		resp.Neighbors = make([]neighborJSON, len(nbrs))
-		for i, n := range nbrs {
-			resp.Neighbors[i] = neighborJSON{ID: n.ID, Distance: n.Distance}
-		}
-		resp.Count = len(nbrs)
-	default:
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"unknown query type %q (want range, point or knn)", req.Type)
-		return
-	}
+	version, ids, nbrs, err := rt.Query(ctx, name, q)
 	if err != nil {
-		writeProxiedError(w, err)
+		api.WriteError(w, proxyError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- join -----------------------------------------------------------------
-
-type joinRequest struct {
-	Boxes     [][]float64 `json:"boxes,omitempty"`
-	Probe     string      `json:"probe,omitempty"`
-	Eps       float64     `json:"eps,omitempty"`
-	Workers   int         `json:"workers,omitempty"`
-	CountOnly bool        `json:"count_only,omitempty"`
-}
-
-type joinResponse struct {
-	Dataset      string        `json:"dataset"`
-	Version      int64         `json:"version"`
-	Probe        string        `json:"probe,omitempty"`
-	ProbeObjects int           `json:"probe_objects"`
-	Count        int64         `json:"count"`
-	Pairs        [][2]touch.ID `json:"pairs,omitempty"`
+	api.WriteJSON(w, http.StatusOK, api.NewQueryResponse(name, version, q.Type, ids, nbrs))
 }
 
 func (rt *Router) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req joinRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
-		return
-	}
-	if req.Probe != "" && req.Boxes != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "give either inline boxes or a probe name, not both")
-		return
-	}
-	if req.Probe == "" && req.Boxes == nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "give inline boxes or a probe name")
-		return
-	}
+	var req api.JoinRequest
+	e := api.DecodeJSON(r, &req)
 	spec := client.JoinSpec{Probe: req.Probe, Eps: req.Eps, Workers: req.Workers}
-	if req.Boxes != nil {
-		spec.Boxes = make([]touch.Box, len(req.Boxes))
-		for i, row := range req.Boxes {
-			if len(row) != 6 {
-				writeError(w, http.StatusBadRequest, "invalid_box",
-					"box %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-				return
-			}
-			spec.Boxes[i] = touch.Box{
-				Min: touch.Point{row[0], row[1], row[2]},
-				Max: touch.Point{row[3], row[4], row[5]},
-			}
-		}
+	if e == nil && req.Boxes != nil {
+		spec.Boxes, e = api.Boxes(req.Boxes, "box")
 	}
-	resp := joinResponse{Dataset: name, Probe: req.Probe, ProbeObjects: len(spec.Boxes)}
+	if e == nil {
+		e = api.CheckProbeSide(req.Probe != "", req.Boxes != nil)
+	}
+	if e != nil {
+		api.WriteError(w, e)
+		return
+	}
+	resp := api.JoinResponse{Dataset: name, Probe: req.Probe, ProbeObjects: len(spec.Boxes)}
 	var err error
 	if req.CountOnly {
 		resp.Version, resp.Count, err = rt.JoinCount(ctx, name, spec)
 	} else {
 		var pairs []touch.Pair
 		resp.Version, pairs, resp.Count, err = rt.Join(ctx, name, spec)
-		resp.Pairs = make([][2]touch.ID, len(pairs))
-		for i, p := range pairs {
-			resp.Pairs[i] = [2]touch.ID{p.A, p.B}
-		}
+		resp.Pairs = api.SortedPairs(pairs)
 	}
 	if err != nil {
-		writeProxiedError(w, err)
+		api.WriteError(w, proxyError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- update ---------------------------------------------------------------
-
-type updateRequest struct {
-	Insert [][]float64 `json:"insert,omitempty"`
-	Delete []touch.ID  `json:"delete,omitempty"`
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req updateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
-		return
-	}
-	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "update needs insert rows or delete IDs")
-		return
-	}
+	var req api.UpdateRequest
+	e := api.DecodeJSON(r, &req)
 	spec := client.UpdateSpec{Delete: req.Delete}
-	spec.Insert = make([]touch.Box, len(req.Insert))
-	for i, row := range req.Insert {
-		if len(row) != 6 {
-			writeError(w, http.StatusBadRequest, "invalid_box",
-				"insert %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-			return
-		}
-		spec.Insert[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
+	if e == nil {
+		spec.Insert, e = api.Boxes(req.Insert, "insert")
+	}
+	if e == nil && len(req.Insert) == 0 && len(req.Delete) == 0 {
+		e = api.Errorf(api.CodeBadRequest, "update needs insert rows or delete IDs")
+	}
+	if e != nil {
+		api.WriteError(w, e)
+		return
 	}
 	res, err := rt.Update(ctx, name, spec)
 	if err != nil {
-		writeProxiedError(w, err)
+		api.WriteError(w, proxyError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Name            string     `json:"name"`
-		Version         int64      `json:"version"`
-		InsertedIDs     []touch.ID `json:"inserted_ids,omitempty"`
-		Deleted         int        `json:"deleted"`
-		DeltaInserts    int        `json:"delta_inserts"`
-		DeltaTombstones int        `json:"delta_tombstones"`
-	}{
+	api.WriteJSON(w, http.StatusOK, api.UpdateResponse{
 		Name: name, Version: res.Version, InsertedIDs: res.InsertedIDs, Deleted: res.Deleted,
 		DeltaInserts: res.DeltaInserts, DeltaTombstones: res.DeltaTombstones,
 	})
@@ -456,5 +268,5 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for _, f := range failures {
 		out.FailedBackends = append(out.FailedBackends, failedBackendJSON{Backend: f.Backend, Error: f.Err.Error()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }

@@ -13,6 +13,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/promhist"
 )
 
@@ -252,36 +253,34 @@ func (rt *Router) try(ctx context.Context, b *backend, fn func(context.Context, 
 	return err
 }
 
-// Range answers a range query from the dataset's owners.
-func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
+// Query answers a range, point or kNN read from the dataset's owners:
+// ids for range and point, nbrs for knn.
+func (rt *Router) Query(ctx context.Context, dataset string, q api.Query) (version int64, ids []touch.ID, nbrs []touch.Neighbor, err error) {
 	rt.met.requests[rcQuery].Add(1)
 	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
 		var e error
-		version, ids, e = c.Range(ctx, dataset, box)
+		switch q.Type {
+		case "range":
+			version, ids, e = c.Range(ctx, dataset, q.Box)
+		case "point":
+			version, ids, e = c.Point(ctx, dataset, q.Point)
+		default:
+			version, nbrs, e = c.KNN(ctx, dataset, q.Point, q.K)
+		}
 		return e
 	})
-	return version, ids, err
+	return version, ids, nbrs, err
 }
 
-// Point answers a point query from the dataset's owners.
-func (rt *Router) Point(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, err error) {
-	rt.met.requests[rcQuery].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, ids, e = c.Point(ctx, dataset, pt)
-		return e
-	})
+// Range answers a range query from the dataset's owners.
+func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
+	version, ids, _, err = rt.Query(ctx, dataset, api.Query{Type: "range", Box: box})
 	return version, ids, err
 }
 
 // KNN answers a k-nearest-neighbor query from the dataset's owners.
 func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
-	rt.met.requests[rcQuery].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, nbrs, e = c.KNN(ctx, dataset, pt, k)
-		return e
-	})
+	version, _, nbrs, err = rt.Query(ctx, dataset, api.Query{Type: "knn", Point: pt, K: k})
 	return version, nbrs, err
 }
 

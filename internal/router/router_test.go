@@ -85,7 +85,8 @@ func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 
 // TestRoutedHTTPByteIdentity: for range, point and knn, the router's
 // HTTP answer is byte-for-byte the answer the backend itself would have
-// given — same struct shapes, same field order, same encoder settings.
+// given — same struct shapes, same field order, same encoder settings —
+// and joins differ only in the documented keys.
 func TestRoutedHTTPByteIdentity(t *testing.T) {
 	ds := touch.GenerateUniform(500, 7)
 	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
@@ -106,6 +107,110 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
 			t.Fatalf("query %s:\ndirect: %s\nrouted: %s", body, direct.Body.Bytes(), routed.Body.Bytes())
+		}
+	}
+
+	// Joins: identical once the backend's "stats" and "trace" keys are
+	// removed — the wire does not carry them. A named probe additionally
+	// loses "probe_version" and "probe_objects", which the wire's join
+	// answer does not carry either; that difference is pinned exactly.
+	joins := []struct{ body, named string }{
+		{body: `{"boxes":[[0,0,0,300,300,300],[500,500,500,900,900,900]]}`},
+		{body: `{"boxes":[[0,0,0,300,300,300]],"eps":5,"count_only":true}`},
+		{body: `{"boxes":[],"count_only":true}`},
+		{body: `{"probe":"d","eps":2}`, named: fmt.Sprintf(`"probe_version":1,"probe_objects":%d`, len(ds))},
+		{body: `{"probe":"d","count_only":true}`, named: fmt.Sprintf(`"probe_version":1,"probe_objects":%d`, len(ds))},
+	}
+	for _, j := range joins {
+		direct := postJSON(t, b0.srv, "/v1/datasets/d/join", j.body)
+		routed := postJSON(t, rt, "/v1/datasets/d/join", j.body)
+		if direct.Code != http.StatusOK || routed.Code != http.StatusOK {
+			t.Fatalf("join %s: direct %d, routed %d (%s)", j.body, direct.Code, routed.Code, routed.Body.Bytes())
+		}
+		want := dropKey(dropKey(direct.Body.Bytes(), "stats"), "trace")
+		if j.named != "" {
+			if !bytes.Contains(want, []byte(j.named)) {
+				t.Fatalf("join %s: direct answer lacks %s: %s", j.body, j.named, want)
+			}
+			want = bytes.Replace(want, []byte(j.named), []byte(`"probe_objects":0`), 1)
+		}
+		if !bytes.Equal(want, routed.Body.Bytes()) {
+			t.Fatalf("join %s:\ndirect: %s\nwant:   %s\nrouted: %s", j.body, direct.Body.Bytes(), want, routed.Body.Bytes())
+		}
+	}
+}
+
+// dropKey removes the top-level `,"key":{...}` member from a JSON
+// object body, leaving every other byte in place.
+func dropKey(body []byte, key string) []byte {
+	i := bytes.Index(body, []byte(`,"`+key+`":{`))
+	if i < 0 {
+		return body
+	}
+	depth := 0
+	for j := i + len(key) + 4; j < len(body); j++ {
+		switch body[j] {
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth == 0 {
+				return append(append([]byte(nil), body[:i]...), body[j+1:]...)
+			}
+		}
+	}
+	return body
+}
+
+// TestRoutedHTTPErrorIdentity: every client error the backend answers
+// itself — malformed or trailing JSON, bad shapes, engine validation,
+// probe-side mistakes, unknown datasets — gets the same status and the
+// same body bytes through the router as from the backend directly.
+func TestRoutedHTTPErrorIdentity(t *testing.T) {
+	ds := touch.GenerateUniform(200, 13)
+	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
+	b1 := startBackend(t, "r1", map[string]touch.Dataset{"d": ds})
+	rt := startRouter(t, 2, b0.addr, b1.addr)
+
+	cases := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/datasets/d/query", `{nope`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"point","point":[0,0,0]} extra`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"range","box":[0,0,0,1]}`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"range","box":[5,0,0,1,1,1]}`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"point","point":[1]}`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"knn","point":[0,0,0],"k":0}`},
+		{http.MethodPost, "/v1/datasets/d/query", `{"type":"cube"}`},
+		{http.MethodPost, "/v1/datasets/ghost/query", `{"type":"point","point":[0,0,0]}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{nope`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"boxes":[]} {}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"boxes":[[0,0,0,1,1,1]],"eps":-2}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"boxes":[[0,0,0,1,1,1]],"probe":"d"}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"boxes":[[1,2,3]]}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"boxes":[[9,0,0,1,1,1]]}`},
+		{http.MethodPost, "/v1/datasets/d/join", `{"probe":"ghost"}`},
+		{http.MethodPost, "/v1/datasets/ghost/join", `{"boxes":[[0,0,0,1,1,1]]}`},
+		{http.MethodPatch, "/v1/datasets/d", `{nope`},
+		{http.MethodPatch, "/v1/datasets/d", `{"delete":[1]} extra`},
+		{http.MethodPatch, "/v1/datasets/d", `{}`},
+		{http.MethodPatch, "/v1/datasets/d", `{"insert":[[1,2]]}`},
+		{http.MethodPatch, "/v1/datasets/d", `{"insert":[[5,5,5,1,1,1]]}`},
+		{http.MethodPatch, "/v1/datasets/ghost", `{"delete":[1]}`},
+	}
+	for _, tc := range cases {
+		send := func(h http.Handler) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+		direct, routed := send(b0.srv), send(rt)
+		if direct.Code/100 != 4 {
+			t.Fatalf("%s %s %s: direct status %d, want a client error (%s)", tc.method, tc.path, tc.body, direct.Code, direct.Body.Bytes())
+		}
+		if direct.Code != routed.Code || !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
+			t.Errorf("%s %s %s:\ndirect: %d %s\nrouted: %d %s", tc.method, tc.path, tc.body,
+				direct.Code, direct.Body.Bytes(), routed.Code, routed.Body.Bytes())
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/wire"
 )
 
@@ -189,41 +190,12 @@ func (rt *Router) serveWireConn(nc net.Conn) {
 	c.wg.Wait()
 }
 
-// readReq is one decoded read frame awaiting forwarding.
+// readReq is one decoded read frame awaiting forwarding; dataset is
+// copied out of the reader's reused payload buffer.
 type readReq struct {
-	op      byte
 	tag     uint32
 	dataset string
-	box     touch.Box   // OpRange
-	pt      touch.Point // OpPoint, OpKNN
-	k       int         // OpKNN
-}
-
-// decodeRead decodes a read frame into a readReq, copying the dataset
-// name out of the reader's reused payload buffer.
-func decodeRead(op byte, tag uint32, payload []byte) (readReq, error) {
-	req := readReq{op: op, tag: tag}
-	switch op {
-	case wire.OpRange:
-		name, box, _, err := wire.DecodeRangeReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.box = string(name), box
-	case wire.OpPoint:
-		name, pt, _, err := wire.DecodePointReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.pt = string(name), pt
-	case wire.OpKNN:
-		name, pt, k, _, err := wire.DecodeKNNReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.pt, req.k = string(name), pt, k
-	}
-	return req, nil
+	q       api.Query
 }
 
 func (c *frontConn) readLoop(r *wire.Reader) {
@@ -261,7 +233,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		op, tag, payload, err := r.ReadFrame()
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				c.fatalError(0, "bad_request", err.Error())
+				c.fatalError(0, api.CodeBadRequest, err.Error())
 			}
 			return
 		}
@@ -274,12 +246,12 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 			c.mu.Unlock()
 		case wire.OpRange, wire.OpPoint, wire.OpKNN:
 			c.inflight.Add(1)
-			req, err := decodeRead(op, tag, payload)
+			name, q, _, err := api.WireQuery(op, payload)
 			if err != nil {
-				c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+				c.respondErr(tag, api.DecodeError(err))
 				continue
 			}
-			group = append(group, req)
+			group = append(group, readReq{tag: tag, dataset: string(name), q: q})
 		case wire.OpJoin, wire.OpUpdate, wire.OpCatalog:
 			dispatch()
 			select {
@@ -296,7 +268,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 				c.forward(op, tag, buf)
 			}()
 		default:
-			c.fatalError(tag, "bad_request", fmt.Sprintf("unknown opcode %#02x", op))
+			c.fatalError(tag, api.CodeBadRequest, fmt.Sprintf("unknown opcode %#02x", op))
 			return
 		}
 	}
@@ -328,22 +300,10 @@ func (c *frontConn) fatalError(tag uint32, code, msg string) {
 	c.wmu.Unlock()
 }
 
-// respondErr maps a forwarding failure onto the wire error vocabulary:
-// backend answers pass through verbatim, connection exhaustion becomes
-// no_backend, context expiry the timeout/client_closed pair.
-func (c *frontConn) respondErr(tag uint32, err error) {
-	code, msg := codeNoBackend, err.Error()
-	var se *client.ServerError
-	switch {
-	case errors.As(err, &se):
-		code, msg = se.Code, se.Message
-	case IsNoBackend(err):
-	case errors.Is(err, context.DeadlineExceeded):
-		code, msg = "timeout", "request exceeded the router's processing budget"
-	case errors.Is(err, context.Canceled):
-		code, msg = "client_closed", "request canceled"
-	}
-	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, code, msg))
+// respondErr answers a request with its error frame: a proxyError
+// mapping or a router-side decode error.
+func (c *frontConn) respondErr(tag uint32, e *api.Error) {
+	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, e.Code, e.Message))
 }
 
 // forwardReads proxies one dispatched burst of read frames. Contiguous
@@ -400,35 +360,18 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	b.requests.Add(int64(len(reqs)))
 	start := time.Now()
 	batch := conn.Batch()
-	gets := make([]func(context.Context) (byte, []byte, error), len(reqs))
+	gets := make([]func(context.Context) (int64, []touch.ID, []touch.Neighbor, error), len(reqs))
 	for i, r := range reqs {
-		switch r.op {
-		case wire.OpRange:
-			f := batch.Range(r.dataset, r.box)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
-				version, ids, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpIDs, wire.AppendIDsResp(nil, version, ids), nil
-			}
-		case wire.OpPoint:
-			f := batch.Point(r.dataset, r.pt)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
-				version, ids, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpIDs, wire.AppendIDsResp(nil, version, ids), nil
-			}
-		case wire.OpKNN:
-			f := batch.KNN(r.dataset, r.pt, r.k)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
+		switch r.q.Type {
+		case "range":
+			gets[i] = idsGet(batch.Range(r.dataset, r.q.Box))
+		case "point":
+			gets[i] = idsGet(batch.Point(r.dataset, r.q.Point))
+		default:
+			f := batch.KNN(r.dataset, r.q.Point, r.q.K)
+			gets[i] = func(ctx context.Context) (int64, []touch.ID, []touch.Neighbor, error) {
 				version, nbrs, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpNeighbors, wire.AppendNeighborsResp(nil, version, nbrs), nil
+				return version, nil, nbrs, err
 			}
 		}
 	}
@@ -441,18 +384,18 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	var rest []readReq
 	var connErr error
 	for i, get := range gets {
-		op, payload, err := get(ctx)
+		version, ids, nbrs, err := get(ctx)
 		if err != nil {
 			var se *client.ServerError
 			if errors.As(err, &se) {
-				c.respond(wire.OpError, reqs[i].tag, wire.AppendErrorResp(nil, se.Code, se.Message))
+				c.respondErr(reqs[i].tag, proxyError(err))
 				continue
 			}
 			connErr = err
 			rest = append(rest, reqs[i])
 			continue
 		}
-		c.respond(op, reqs[i].tag, payload)
+		c.respondRead(reqs[i], version, ids, nbrs)
 	}
 	b.latency.Observe(time.Since(start))
 	rt.met.requests[rcQuery].Add(int64(len(reqs) - len(rest)))
@@ -477,29 +420,30 @@ func (c *frontConn) forwardRead(ctx context.Context, r readReq) {
 		c.mu.Unlock()
 	}()
 
-	switch r.op {
-	case wire.OpRange:
-		version, ids, err := c.rt.Range(ctx, r.dataset, r.box)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
-	case wire.OpPoint:
-		version, ids, err := c.rt.Point(ctx, r.dataset, r.pt)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
-	case wire.OpKNN:
-		version, nbrs, err := c.rt.KNN(ctx, r.dataset, r.pt, r.k)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpNeighbors, r.tag, wire.AppendNeighborsResp(nil, version, nbrs))
+	version, ids, nbrs, err := c.rt.Query(ctx, r.dataset, r.q)
+	if err != nil {
+		c.respondErr(r.tag, proxyError(err))
+		return
 	}
+	c.respondRead(r, version, ids, nbrs)
+}
+
+// idsGet adapts a batched range or point future to tryBatch's harvest
+// signature.
+func idsGet(f client.IDsFuture) func(context.Context) (int64, []touch.ID, []touch.Neighbor, error) {
+	return func(ctx context.Context) (int64, []touch.ID, []touch.Neighbor, error) {
+		version, ids, err := f.Get(ctx)
+		return version, ids, nil, err
+	}
+}
+
+// respondRead answers a read: OpNeighbors for kNN, OpIDs otherwise.
+func (c *frontConn) respondRead(r readReq, version int64, ids []touch.ID, nbrs []touch.Neighbor) {
+	if r.q.Type == "knn" {
+		c.respond(wire.OpNeighbors, r.tag, wire.AppendNeighborsResp(nil, version, nbrs))
+		return
+	}
+	c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
 }
 
 // forward proxies one join, update or catalog frame: decode, route,
@@ -524,8 +468,8 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 		c.forwardUpdate(ctx, tag, payload)
 	case wire.OpCatalog:
 		if len(payload) != 0 {
-			c.respondErr(tag, &client.ServerError{Code: "bad_request",
-				Message: fmt.Sprintf("catalog request carries a %d-byte payload, want empty", len(payload))})
+			c.respondErr(tag, api.Errorf(api.CodeBadRequest,
+				"catalog request carries a %d-byte payload, want empty", len(payload)))
 			return
 		}
 		rows, _ := c.rt.Catalog(ctx)
@@ -549,14 +493,14 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte) {
 	jr, err := wire.DecodeJoinReq(payload)
 	if err != nil {
-		c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+		c.respondErr(tag, api.DecodeError(err))
 		return
 	}
 	spec := client.JoinSpec{Probe: string(jr.ProbeName), Boxes: jr.Boxes, Eps: jr.Eps, Workers: jr.Workers}
 	if jr.CountOnly {
 		version, count, err := c.rt.JoinCount(ctx, string(jr.Name), spec)
 		if err != nil {
-			c.respondErr(tag, err)
+			c.respondErr(tag, proxyError(err))
 			return
 		}
 		c.respond(wire.OpCount, tag, wire.AppendCountResp(nil, version, count))
@@ -564,7 +508,7 @@ func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte)
 	}
 	version, pairs, count, err := c.rt.Join(ctx, string(jr.Name), spec)
 	if err != nil {
-		c.respondErr(tag, err)
+		c.respondErr(tag, proxyError(err))
 		return
 	}
 	// Re-stream in batches: frames for one tag stay in order because
@@ -582,12 +526,12 @@ func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte)
 func (c *frontConn) forwardUpdate(ctx context.Context, tag uint32, payload []byte) {
 	ur, err := wire.DecodeUpdateReq(payload)
 	if err != nil {
-		c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+		c.respondErr(tag, api.DecodeError(err))
 		return
 	}
 	res, err := c.rt.Update(ctx, string(ur.Name), client.UpdateSpec{Insert: ur.Inserts, Delete: ur.Deletes})
 	if err != nil {
-		c.respondErr(tag, err)
+		c.respondErr(tag, proxyError(err))
 		return
 	}
 	resp := wire.UpdateResp{

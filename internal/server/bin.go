@@ -2,8 +2,9 @@ package server
 
 // The binary protocol listener: the fast lane next to the HTTP handler.
 // Frames (see internal/wire) arrive on persistent connections and are
-// dispatched onto the same catalog, admission slots, deadlines and
-// metrics as HTTP requests — the protocol changes, the server doesn't.
+// dispatched onto the same executor (exec.go), admission slots,
+// deadlines and metrics as HTTP requests — the protocol changes, the
+// server doesn't.
 //
 // Per connection there are two goroutines. The reader decodes frames
 // and enqueues requests on a bounded channel; when the queue is full it
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/geom"
 	"touch/internal/trace"
 	"touch/internal/wire"
@@ -194,26 +196,20 @@ type binConn struct {
 	scratch []byte
 	pairBuf []geom.Pair
 
-	// span is the current request's trace, worker-owned and reset per
-	// request — kept on the connection so the steady (untraced) pipeline
-	// stays allocation-free. Its RequestID is assigned lazily, only when
-	// a request is traced, slow, or fails.
-	span touch.Span
-
-	// dsRef is the per-dataset counter cell the current request resolved
-	// via serving(); handle()'s completion hook folds the span into it.
-	// Cached as a pointer so the steady path does one map lookup and no
-	// allocation per request.
-	dsRef *dsCounters
+	// call is the current request's executor state, worker-owned and
+	// reset per request — kept on the connection so the steady (untraced)
+	// pipeline stays allocation-free. The span's RequestID is assigned
+	// lazily, only when a request is traced or slow.
+	call call
 }
 
 // ensureRequestID assigns the current request's ID if it does not have
 // one yet, and returns it.
 func (c *binConn) ensureRequestID() string {
-	if c.span.RequestID == "" {
-		c.span.RequestID = nextRequestID()
+	if c.call.span.RequestID == "" {
+		c.call.span.RequestID = nextRequestID()
 	}
-	return c.span.RequestID
+	return c.call.span.RequestID
 }
 
 // respondTrace emits the non-terminal OpTrace frame carrying the
@@ -221,7 +217,7 @@ func (c *binConn) ensureRequestID() string {
 // response of a traced request.
 func (c *binConn) respondTrace(tag uint32) {
 	c.ensureRequestID()
-	c.scratch = wire.AppendTraceResp(c.scratch[:0], spanTraceResp(&c.span))
+	c.scratch = wire.AppendTraceResp(c.scratch[:0], spanTraceResp(&c.call.span))
 	c.respond(wire.OpTrace, tag, c.scratch)
 }
 
@@ -315,7 +311,7 @@ func (c *binConn) readLoop() {
 		op, tag, payload, err := c.r.ReadFrame()
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				c.fatalError(0, codeBadRequest, err.Error())
+				c.fatalError(0, api.CodeBadRequest, err.Error())
 			}
 			return
 		}
@@ -331,7 +327,7 @@ func (c *binConn) readLoop() {
 			c.mu.Unlock()
 			c.queue <- req
 		default:
-			c.fatalError(tag, codeBadRequest, fmt.Sprintf("unknown opcode %#02x", op))
+			c.fatalError(tag, api.CodeBadRequest, fmt.Sprintf("unknown opcode %#02x", op))
 			return
 		}
 	}
@@ -411,53 +407,12 @@ func (c *binConn) fatalError(tag uint32, code, msg string) {
 	c.wmu.Unlock()
 }
 
-func (c *binConn) respondErrorf(tag uint32, code, format string, args ...any) {
-	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, code, fmt.Sprintf(format, args...)))
-}
-
-func (c *binConn) badPayload(tag uint32, err error) int {
-	c.respondErrorf(tag, codeBadRequest, "decoding request: %v", err)
-	return http.StatusBadRequest
-}
-
-func (c *binConn) respondEngineError(tag uint32, err error) int {
-	resp := engineError(err)
-	c.respondErrorf(tag, resp.code, "%s", resp.message)
-	return resp.status
-}
-
-// respondAborted answers a canceled join, reusing the HTTP path's
-// deadline-vs-client classification for the reject metrics.
-func (c *binConn) respondAborted(tag uint32, ctx context.Context) int {
-	if c.s.recordAbort(ctx) {
-		c.respondErrorf(tag, codeTimeout, "request exceeded the %v processing budget", c.s.cfg.RequestTimeout)
-		return http.StatusServiceUnavailable
-	}
-	c.respondErrorf(tag, codeClientClosed, "request canceled by client")
-	return statusClientClosed
-}
-
-// serving resolves the snapshot a request answers from, writing the
-// unknown-dataset / still-building error frame itself when there is
-// none — the wire twin of Server.serving.
-func (c *binConn) serving(tag uint32, name []byte) (*snapshot, int) {
-	snap, exists := c.s.cat.snapshotBytes(name)
-	if !exists {
-		c.respondErrorf(tag, codeUnknownDataset, "dataset %q not loaded", name)
-		return nil, http.StatusNotFound
-	}
-	if snap == nil {
-		c.respondErrorf(tag, codeBuilding, "dataset %q is still building its first index version", name)
-		return nil, http.StatusServiceUnavailable
-	}
-	c.dsRef = c.s.met.dataset(name)
-	return snap, 0
-}
-
 // handle executes one request frame: metrics, drain and cancel checks,
 // admission, then dispatch. Every request frame gets exactly one
 // terminal response frame — that contract is what lets the client
-// pipeline blindly.
+// pipeline blindly. A handler that fails returns its error instead of
+// answering; the error frame goes out here, and the status recorded for
+// metrics is the error code's HTTP status.
 func (c *binConn) handle(req *wireReq) {
 	s := c.s
 	class := classWireQuery
@@ -474,14 +429,17 @@ func (c *binConn) handle(req *wireReq) {
 	start := time.Now()
 	admitted := false
 	status := http.StatusOK
-	c.span = touch.Span{}
-	c.dsRef = nil
+	c.call = call{}
 	defer func() {
 		s.met.observe(class, status, time.Since(start), admitted)
-		s.met.observeSpan(&c.span)
-		c.dsRef.add(&c.span)
-		s.noteSlow(&c.span, class, status, time.Since(start))
+		s.met.observeSpan(&c.call.span)
+		c.call.ds.add(&c.call.span)
+		s.noteSlow(&c.call.span, class, status, time.Since(start))
 	}()
+	fail := func(e *api.Error) {
+		status = api.Status(e.Code)
+		c.respond(wire.OpError, req.tag, wire.AppendErrorResp(nil, e.Code, e.Message))
+	}
 
 	c.mu.Lock()
 	canceled := c.pending[req.tag]
@@ -489,19 +447,16 @@ func (c *binConn) handle(req *wireReq) {
 	c.mu.Unlock()
 	if canceled {
 		s.met.rejectCanceled.Add(1)
-		status = statusClientClosed
-		c.respondErrorf(req.tag, codeClientClosed, "request canceled by client")
+		fail(&api.Error{Code: api.CodeClientClosed, Message: "request canceled by client"})
 		return
 	}
 	if s.draining.Load() {
 		s.met.rejectDraining.Add(1)
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeDraining, "server is draining for shutdown")
+		fail(errDraining)
 		return
 	}
 	if !s.wireBeginReq() {
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeDraining, "server is shut down")
+		fail(&api.Error{Code: api.CodeDraining, Message: "server is shut down"})
 		return
 	}
 	defer s.wire.reqs.Done()
@@ -509,8 +464,7 @@ func (c *binConn) handle(req *wireReq) {
 	// check HTTP requests get from their admission deadline.
 	if time.Since(req.enq) > s.cfg.RequestTimeout {
 		s.met.rejectTimeout.Add(1)
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeTimeout, "request exceeded the %v processing budget", s.cfg.RequestTimeout)
+		fail(s.errTimeout())
 		return
 	}
 	select {
@@ -518,11 +472,11 @@ func (c *binConn) handle(req *wireReq) {
 	case <-c.ctx.Done():
 		// Connection torn down while waiting; nobody to answer.
 		s.met.rejectCanceled.Add(1)
-		status = statusClientClosed
+		status = api.StatusClientClosed
 		return
 	}
 	// Queue wait plus slot wait is this request's admission phase.
-	c.span.Add(trace.PhaseAdmission, time.Since(req.enq))
+	c.call.span.Add(trace.PhaseAdmission, time.Since(req.enq))
 	s.met.inFlight.Add(1)
 	admitted = true
 	defer func() {
@@ -530,32 +484,31 @@ func (c *binConn) handle(req *wireReq) {
 		s.met.inFlight.Add(-1)
 	}()
 
+	var e *api.Error
 	switch req.op {
-	case wire.OpRange:
-		status = c.handleRange(req)
-	case wire.OpPoint:
-		status = c.handlePoint(req)
-	case wire.OpKNN:
-		status = c.handleKNN(req)
+	case wire.OpRange, wire.OpPoint, wire.OpKNN:
+		e = c.handleQuery(req)
 	case wire.OpJoin:
-		status = c.handleJoin(req)
+		e = c.handleJoin(req)
 	case wire.OpUpdate:
-		status = c.handleUpdate(req)
+		e = c.handleUpdate(req)
 	case wire.OpCatalog:
-		status = c.handleCatalog(req)
+		e = c.handleCatalog(req)
+	}
+	if e != nil {
+		fail(e)
 	}
 }
 
 // handleCatalog answers OpCatalog with the serving catalog — the wire
 // twin of GET /v1/datasets, carrying the rows a routing tier needs to
 // merge listings across replicas.
-func (c *binConn) handleCatalog(req *wireReq) int {
+func (c *binConn) handleCatalog(req *wireReq) *api.Error {
 	if len(req.buf) != 0 {
-		c.respondErrorf(req.tag, codeBadRequest, "catalog request carries a %d-byte payload, want empty", len(req.buf))
-		return http.StatusBadRequest
+		return api.Errorf(api.CodeBadRequest, "catalog request carries a %d-byte payload, want empty", len(req.buf))
 	}
-	if !c.checkAlive() {
-		return statusClientClosed
+	if c.ctx.Err() != nil {
+		return c.s.aborted(c.ctx)
 	}
 	infos := c.s.cat.list()
 	entries := make([]wire.CatalogEntry, len(infos))
@@ -572,138 +525,48 @@ func (c *binConn) handleCatalog(req *wireReq) int {
 		}
 	}
 	c.respond(wire.OpCatalogResp, req.tag, wire.AppendCatalogResp(nil, entries))
-	return http.StatusOK
+	return nil
 }
 
-// checkAlive is the query-path boundary check: single-probe queries run
-// in microseconds, so like their HTTP twins they only verify the
-// request is still wanted before the engine call, not during it.
-func (c *binConn) checkAlive() bool {
-	if c.ctx.Err() != nil {
-		c.s.met.rejectCanceled.Add(1)
-		return false
-	}
-	return true
-}
-
-func (c *binConn) handleRange(req *wireReq) int {
+// handleQuery answers an OpRange, OpPoint or OpKNN frame. Queries run
+// under the connection's context: like their HTTP twins they finish in
+// microseconds and only check that they are still wanted before the
+// engine call.
+func (c *binConn) handleQuery(req *wireReq) *api.Error {
 	decStart := time.Now()
-	name, box, flags, err := wire.DecodeRangeReq(req.buf)
+	name, q, flags, err := api.WireQuery(req.op, req.buf)
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
-	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	ids, err := snap.engine().RangeQueryTraced(box, &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
+	c.call.span.Add(trace.PhaseDecode, time.Since(decStart))
+	version, ids, nbrs, e := c.s.query(c.ctx, &c.call, name, &q)
+	if e != nil {
+		return e
 	}
 	if flags&wire.QueryFlagTrace != 0 {
 		c.respondTrace(req.tag)
 	}
-	c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
-	c.respond(wire.OpIDs, req.tag, c.scratch)
-	return http.StatusOK
-}
-
-func (c *binConn) handlePoint(req *wireReq) int {
-	decStart := time.Now()
-	name, pt, flags, err := wire.DecodePointReq(req.buf)
-	if err != nil {
-		return c.badPayload(req.tag, err)
+	if req.op == wire.OpKNN {
+		c.scratch = wire.AppendNeighborsResp(c.scratch[:0], version, nbrs)
+		c.respond(wire.OpNeighbors, req.tag, c.scratch)
+	} else {
+		c.scratch = wire.AppendIDsResp(c.scratch[:0], version, ids)
+		c.respond(wire.OpIDs, req.tag, c.scratch)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
-	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	ids, err := snap.engine().PointQueryTraced(pt[0], pt[1], pt[2], &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
-	}
-	if flags&wire.QueryFlagTrace != 0 {
-		c.respondTrace(req.tag)
-	}
-	c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
-	c.respond(wire.OpIDs, req.tag, c.scratch)
-	return http.StatusOK
-}
-
-func (c *binConn) handleKNN(req *wireReq) int {
-	decStart := time.Now()
-	name, pt, k, flags, err := wire.DecodeKNNReq(req.buf)
-	if err != nil {
-		return c.badPayload(req.tag, err)
-	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
-	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	nbrs, err := snap.engine().KNNTraced(pt, k, &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
-	}
-	if flags&wire.QueryFlagTrace != 0 {
-		c.respondTrace(req.tag)
-	}
-	c.scratch = wire.AppendNeighborsResp(c.scratch[:0], snap.version, nbrs)
-	c.respond(wire.OpNeighbors, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }
 
 // handleUpdate applies an OpUpdate frame — the wire twin of HTTP's
 // PATCH handler: deletes, then inserts, published atomically against
 // the serving snapshot, answered with one OpUpdateDone.
-func (c *binConn) handleUpdate(req *wireReq) int {
+func (c *binConn) handleUpdate(req *wireReq) *api.Error {
 	ur, err := wire.DecodeUpdateReq(req.buf)
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	if len(ur.Inserts) == 0 && len(ur.Deletes) == 0 {
-		c.respondErrorf(req.tag, codeBadRequest, "update needs insert boxes or delete ids")
-		return http.StatusBadRequest
-	}
-	if _, err := touch.DatasetFromBoxes(ur.Inserts); err != nil {
-		c.respondErrorf(req.tag, codeInvalidBox, "%v", err)
-		return http.StatusBadRequest
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	res, st := c.s.cat.applyUpdate(string(ur.Name), ur.Inserts, ur.Deletes)
-	switch st {
-	case updUnknown:
-		c.respondErrorf(req.tag, codeUnknownDataset, "dataset %q not loaded", ur.Name)
-		return http.StatusNotFound
-	case updBuilding:
-		c.respondErrorf(req.tag, codeBuilding, "dataset %q is still building its first index version", ur.Name)
-		return http.StatusServiceUnavailable
-	case updOverflow:
-		c.respondErrorf(req.tag, codeIDExhausted,
-			"inserting %d objects would exhaust the dataset's object ID space", len(ur.Inserts))
-		return http.StatusUnprocessableEntity
+	res, e := c.s.update(c.ctx, string(ur.Name), ur.Inserts, ur.Deletes)
+	if e != nil {
+		return e
 	}
 	c.scratch = wire.AppendUpdateResp(c.scratch[:0], wire.UpdateResp{
 		Version: res.version, FirstID: res.firstID,
@@ -711,7 +574,7 @@ func (c *binConn) handleUpdate(req *wireReq) int {
 		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
 	})
 	c.respond(wire.OpUpdateDone, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }
 
 // handleJoin answers a join frame. count_only joins return one OpCount;
@@ -722,64 +585,35 @@ func (c *binConn) handleUpdate(req *wireReq) int {
 // context and per-tag cancel registration; a cancel frame or ShutdownWire
 // aborts the engine cooperatively and the admission slot frees on the
 // unwind.
-func (c *binConn) handleJoin(req *wireReq) int {
+func (c *binConn) handleJoin(req *wireReq) *api.Error {
 	s := c.s
 	decStart := time.Now()
 	jr, err := wire.DecodeJoinReq(req.buf)
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, jr.Name)
-	if snap == nil {
-		return st
-	}
-	var probe touch.Dataset
-	if jr.ProbeName != nil {
-		psnap, st := c.serving(req.tag, jr.ProbeName)
-		if psnap == nil {
-			return st
-		}
-		probe = psnap.dataset()
-	} else {
-		probe, err = touch.DatasetFromBoxes(jr.Boxes)
-		if err != nil {
-			c.respondErrorf(req.tag, codeInvalidBox, "%v", err)
-			return http.StatusBadRequest
-		}
-	}
-	workers := clampWorkers(jr.Workers)
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
+	c.call.span.Add(trace.PhaseDecode, time.Since(decStart))
 
 	ctx, cancel := context.WithTimeout(c.ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	c.setCurrent(req.tag, cancel)
 	defer c.clearCurrent()
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
+	p, e := s.prepareJoin(ctx, &c.call, jr.Name, jr.ProbeName, jr.Boxes, jr.Eps, jr.Workers)
+	if e != nil {
+		return e
 	}
 
-	// ε = 0 takes the same fast path as HTTP's handleJoin: both routes
-	// go through DistanceJoinCtx/Seq, where Dataset.Expand(0) is the
-	// identity — no expansion copy on either protocol, so wire and HTTP
-	// answers stay byte-identical at eps = 0 by construction.
 	if jr.CountOnly {
-		res, err := snap.engine().DistanceJoinCtx(ctx, probe, jr.Eps,
-			&touch.Options{Workers: workers, NoPairs: true, Trace: &c.span})
-		switch {
-		case errors.Is(err, touch.ErrJoinCanceled):
-			return c.respondAborted(req.tag, ctx)
-		case err != nil:
-			return c.respondEngineError(req.tag, err)
+		res, e := s.runJoin(ctx, &c.call, &p, true, 0)
+		if e != nil {
+			return e
 		}
 		if jr.Trace {
 			c.respondTrace(req.tag)
 		}
-		c.scratch = wire.AppendCountResp(c.scratch[:0], snap.version, res.Stats.Results)
+		c.scratch = wire.AppendCountResp(c.scratch[:0], p.snap.version, res.Stats.Results)
 		c.respond(wire.OpCount, req.tag, c.scratch)
-		return http.StatusOK
+		return nil
 	}
 
 	// Unlike NDJSON streaming, a mid-stream failure here still has a
@@ -788,15 +622,11 @@ func (c *binConn) handleJoin(req *wireReq) int {
 	c.pairBuf = c.pairBuf[:0]
 	n := int64(0)
 	frames := 0
-	for p, err := range snap.engine().DistanceJoinSeq(ctx, probe, jr.Eps,
-		&touch.Options{Workers: workers, Trace: &c.span}) {
+	for pair, err := range p.snap.engine().JoinSeq(ctx, p.probe, p.options(&c.call)) {
 		if err != nil {
-			if errors.Is(err, touch.ErrJoinCanceled) {
-				return c.respondAborted(req.tag, ctx)
-			}
-			return c.respondEngineError(req.tag, err)
+			return s.joinError(ctx, err)
 		}
-		c.pairBuf = append(c.pairBuf, p)
+		c.pairBuf = append(c.pairBuf, pair)
 		if len(c.pairBuf) == wirePairBatch {
 			n += int64(len(c.pairBuf))
 			c.scratch = wire.AppendPairsResp(c.scratch[:0], c.pairBuf)
@@ -813,7 +643,7 @@ func (c *binConn) handleJoin(req *wireReq) int {
 	if jr.Trace {
 		c.respondTrace(req.tag)
 	}
-	c.scratch = wire.AppendJoinDoneResp(c.scratch[:0], snap.version, n)
+	c.scratch = wire.AppendJoinDoneResp(c.scratch[:0], p.snap.version, n)
 	c.respond(wire.OpJoinDone, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }

@@ -14,6 +14,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/testutil"
 	"touch/internal/wire"
 )
@@ -60,13 +61,13 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 
 	boxes, points, ks := testutil.QueryWorkload(7, 48)
 
-	httpQuery := func(body queryRequest) queryResponse {
+	httpQuery := func(body api.QueryRequest) api.QueryResponse {
 		t.Helper()
 		status, raw := ts.postJSON("/v1/datasets/cells/query", body)
 		if status != http.StatusOK {
 			t.Fatalf("http query: status %d: %s", status, raw)
 		}
-		var resp queryResponse
+		var resp api.QueryResponse
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 
 	for i := range boxes {
 		b := boxes[i]
-		href := httpQuery(queryRequest{Type: "range", Box: []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}})
+		href := httpQuery(api.QueryRequest{Type: "range", Box: []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}})
 		wv, wids, err := c.Range(ctx, "cells", b)
 		if err != nil {
 			t.Fatalf("wire range %d: %v", i, err)
@@ -93,7 +94,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		}
 
 		p := points[i]
-		href = httpQuery(queryRequest{Type: "point", Point: []float64{p[0], p[1], p[2]}})
+		href = httpQuery(api.QueryRequest{Type: "point", Point: []float64{p[0], p[1], p[2]}})
 		_, wids, err = c.Point(ctx, "cells", p)
 		if err != nil {
 			t.Fatalf("wire point %d: %v", i, err)
@@ -107,7 +108,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 			}
 		}
 
-		href = httpQuery(queryRequest{Type: "knn", Point: []float64{p[0], p[1], p[2]}, K: ks[i]})
+		href = httpQuery(api.QueryRequest{Type: "knn", Point: []float64{p[0], p[1], p[2]}, K: ks[i]})
 		_, nbrs, err := c.KNN(ctx, "cells", p, ks[i])
 		if err != nil {
 			t.Fatalf("wire knn %d: %v", i, err)
@@ -131,11 +132,11 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		probeBoxes[i] = o.Box
 	}
 
-	status, raw := ts.postJSON("/v1/datasets/cells/join", joinRequest{Boxes: rows, Eps: 3})
+	status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Boxes: rows, Eps: 3})
 	if status != http.StatusOK {
 		t.Fatalf("http join: status %d: %s", status, raw)
 	}
-	var hj joinResponse
+	var hj api.JoinResponse
 	if err := json.Unmarshal(raw, &hj); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	}
 
 	ts.srv.Load("probe", probe, touch.TOUCHConfig{})
-	status, raw = ts.postJSON("/v1/datasets/cells/join", joinRequest{Probe: "probe", CountOnly: true})
+	status, raw = ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Probe: "probe", CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("http named join: status %d: %s", status, raw)
 	}
@@ -239,11 +240,11 @@ func TestWireErrorFrames(t *testing.T) {
 
 	_, _, err := c.Range(ctx, "nope", touch.Box{Max: touch.Point{1, 1, 1}})
 	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != codeUnknownDataset {
+	if !errors.As(err, &se) || se.Code != api.CodeUnknownDataset {
 		t.Fatalf("unknown dataset: %v", err)
 	}
 	_, _, err = c.KNN(ctx, "cells", touch.Point{1, 2, 3}, -5)
-	if !errors.As(err, &se) || se.Code != codeInvalidK {
+	if !errors.As(err, &se) || se.Code != api.CodeInvalidK {
 		t.Fatalf("bad k: %v", err)
 	}
 	// The connection survived both error frames.
@@ -253,7 +254,7 @@ func TestWireErrorFrames(t *testing.T) {
 
 	ts.srv.BeginShutdown()
 	_, _, err = c.Range(ctx, "cells", touch.Box{Max: touch.Point{1, 1, 1}})
-	if !errors.As(err, &se) || se.Code != codeDraining {
+	if !errors.As(err, &se) || se.Code != api.CodeDraining {
 		t.Fatalf("draining: %v", err)
 	}
 }
@@ -338,8 +339,8 @@ func TestWireCancelQueued(t *testing.T) {
 		op   byte
 		code string
 	}{
-		{1, wire.OpError, codeClientClosed},
-		{2, wire.OpError, codeClientClosed},
+		{1, wire.OpError, api.CodeClientClosed},
+		{2, wire.OpError, api.CodeClientClosed},
 		{3, wire.OpIDs, ""},
 	}
 	for _, want := range expect {
@@ -371,7 +372,7 @@ func TestWireTimeout(t *testing.T) {
 
 	_, _, _, err := c.Join(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
 	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != codeTimeout {
+	if !errors.As(err, &se) || se.Code != api.CodeTimeout {
 		t.Fatalf("timeout join: %v", err)
 	}
 	if ts.srv.met.rejectTimeout.Load() == 0 {
@@ -503,19 +504,19 @@ func TestWireMalformedFrames(t *testing.T) {
 	t.Run("oversized-length", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		nc.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("undersized-length", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		nc.Write([]byte{0x01, 0x00, 0x00, 0x00})
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("unknown-opcode", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		w := wire.NewWriter(nc)
 		w.WriteFrame(0x7F, 9, nil)
 		w.Flush()
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("torn-frame", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
@@ -537,7 +538,7 @@ func TestWireMalformedFrames(t *testing.T) {
 		if err != nil || op != wire.OpError || tag != 5 {
 			t.Fatalf("op=%#02x tag=%d err=%v", op, tag, err)
 		}
-		if code, _, _ := wire.DecodeErrorResp(payload); code != codeBadRequest {
+		if code, _, _ := wire.DecodeErrorResp(payload); code != api.CodeBadRequest {
 			t.Fatalf("code %q", code)
 		}
 		w.WriteFrame(wire.OpRange, 6, wire.AppendRangeReq(nil, "cells", touch.Box{Max: touch.Point{1, 1, 1}}))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/delta"
 )
 
@@ -61,14 +62,11 @@ type snapshot struct {
 // *touch.Overlay; handlers call through it so an updated dataset
 // transparently serves merged answers.
 type engine interface {
-	RangeQuery(touch.Box) ([]touch.ID, error)
-	PointQuery(x, y, z float64) ([]touch.ID, error)
-	KNN(touch.Point, int) ([]touch.Neighbor, error)
 	RangeQueryTraced(touch.Box, *touch.Span) ([]touch.ID, error)
 	PointQueryTraced(x, y, z float64, sp *touch.Span) ([]touch.ID, error)
 	KNNTraced(touch.Point, int, *touch.Span) ([]touch.Neighbor, error)
-	DistanceJoinCtx(context.Context, touch.Dataset, float64, *touch.Options) (*touch.Result, error)
-	DistanceJoinSeq(context.Context, touch.Dataset, float64, *touch.Options) iter.Seq2[touch.Pair, error]
+	JoinCtx(context.Context, touch.Dataset, *touch.Options) (*touch.Result, error)
+	JoinSeq(context.Context, touch.Dataset, *touch.Options) iter.Seq2[touch.Pair, error]
 }
 
 // engine returns the read engine for this serving state: the merged
@@ -257,17 +255,6 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 	return v, true
 }
 
-// updStatus classifies the outcome of applyUpdate so the HTTP and wire
-// handlers can map failures to their own error vocabularies.
-type updStatus int
-
-const (
-	updOK       updStatus = iota
-	updUnknown            // name not in the catalog
-	updBuilding           // first version still building, nothing to update
-	updOverflow           // insert would exhaust the object ID space
-)
-
 // updResult describes one applied update batch.
 type updResult struct {
 	version   int64 // base version the update was applied against
@@ -285,17 +272,19 @@ type updResult struct {
 // and insert replacements without tombstoning its own inserts; unknown
 // or already-deleted IDs are skipped silently. Inserted objects get
 // fresh consecutive IDs, never reused even across compactions. Boxes
-// must already be validated (DatasetFromBoxes rules).
-func (c *catalog) applyUpdate(name string, inserts []touch.Box, deletes []touch.ID) (updResult, updStatus) {
+// must already be validated (DatasetFromBoxes rules). The error is
+// unknown_dataset, building (nothing to update yet) or
+// id_space_exhausted.
+func (c *catalog) applyUpdate(name string, inserts []touch.Box, deletes []touch.ID) (updResult, *api.Error) {
 	e := c.entryFor(name)
 	if e == nil {
-		return updResult{}, updUnknown
+		return updResult{}, errUnknown(name)
 	}
 	e.mu.Lock()
 	snap := e.ready.Load()
 	if snap == nil {
 		e.mu.Unlock()
-		return updResult{}, updBuilding
+		return updResult{}, errBuilding(name)
 	}
 	d := snap.d
 	if d == nil {
@@ -311,7 +300,8 @@ func (c *catalog) applyUpdate(name string, inserts []touch.Box, deletes []touch.
 	if len(inserts) > 0 {
 		if !d.CanInsert(len(inserts)) {
 			e.mu.Unlock()
-			return updResult{}, updOverflow
+			return updResult{}, api.Errorf(api.CodeIDExhausted,
+				"inserting %d objects would exhaust the dataset's object ID space", len(inserts))
 		}
 		var first touch.ID
 		d, first = d.Insert(inserts)
@@ -323,7 +313,7 @@ func (c *catalog) applyUpdate(name string, inserts []touch.Box, deletes []touch.
 	size := d.Size()
 	e.mu.Unlock()
 	c.maybeCompact(e, size)
-	return res, updOK
+	return res, nil
 }
 
 // maybeCompact schedules a background compaction of e when its pending
@@ -387,7 +377,7 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 		switch {
 		case err != nil:
 			p.log.Error("snapshot: persist failed, dataset is ephemeral",
-					"dataset", e.name, "version", v, "err", err)
+				"dataset", e.name, "version", v, "err", err)
 		case wrote:
 			snap.persisted, snap.snapBytes = true, size
 		}
@@ -573,13 +563,13 @@ func (e *entry) info() datasetInfo {
 		status = "rebuilding"
 	}
 	return datasetInfo{
-		Name:          e.name,
-		Version:       snap.version,
-		Status:        status,
-		Objects:       snap.stats.Objects,
-		StaticBytes:   snap.stats.StaticBytes,
-		Nodes:         snap.stats.Nodes,
-		Height:        snap.stats.Height,
+		Name:            e.name,
+		Version:         snap.version,
+		Status:          status,
+		Objects:         snap.stats.Objects,
+		StaticBytes:     snap.stats.StaticBytes,
+		Nodes:           snap.stats.Nodes,
+		Height:          snap.stats.Height,
 		BuiltAt:         snap.builtAt.UTC().Format(time.RFC3339Nano),
 		Persisted:       snap.persisted,
 		SnapshotBytes:   snap.snapBytes,

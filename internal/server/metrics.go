@@ -195,23 +195,6 @@ func (m *metrics) dataset(name []byte) *dsCounters {
 	return c
 }
 
-// datasetNamed is dataset for callers that already hold a string.
-func (m *metrics) datasetNamed(name string) *dsCounters {
-	m.dsMu.RLock()
-	c := m.ds[name]
-	m.dsMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	m.dsMu.Lock()
-	defer m.dsMu.Unlock()
-	if c = m.ds[name]; c == nil {
-		c = &dsCounters{}
-		m.ds[name] = c
-	}
-	return c
-}
-
 // qpsWindow is the recency window of the qps gauge.
 const qpsWindow = 60 * time.Second
 
@@ -333,12 +316,12 @@ func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, co
 	fmt.Fprintf(w, "# TYPE touchserved_dataset_comparisons_total counter\n")
 	for _, name := range dsNames {
 		fmt.Fprintf(w, "touchserved_dataset_comparisons_total{dataset=%q} %d\n",
-			name, m.datasetNamed(name).comparisons.Load())
+			name, m.dataset([]byte(name)).comparisons.Load())
 	}
 	fmt.Fprintf(w, "# TYPE touchserved_dataset_replicas_total counter\n")
 	for _, name := range dsNames {
 		fmt.Fprintf(w, "touchserved_dataset_replicas_total{dataset=%q} %d\n",
-			name, m.datasetNamed(name).replicas.Load())
+			name, m.dataset([]byte(name)).replicas.Load())
 	}
 
 	fmt.Fprintf(w, "# TYPE touchserved_wire_connections gauge\n")

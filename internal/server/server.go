@@ -63,8 +63,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -79,6 +77,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
 	"touch/internal/trace"
 )
@@ -334,10 +333,11 @@ func (r *statusRecorder) Flush() {
 // route, wrong method, bad dataset name — and records it under the
 // "other" class: a scanner flood answered at the routing layer must be
 // visible in /metrics, not read as an idle server.
-func (s *Server) reject(w http.ResponseWriter, status int, code, format string, args ...any) {
+func (s *Server) reject(w http.ResponseWriter, code, format string, args ...any) {
+	e := api.Errorf(code, format, args...)
 	s.met.requests[classOther].Add(1)
-	s.met.responses[classOther][codeIndex(status)].Add(1)
-	writeError(w, status, code, format, args...)
+	s.met.responses[classOther][codeIndex(api.Status(code))].Add(1)
+	api.WriteError(w, e)
 }
 
 // ServeHTTP routes requests. Routing is by hand — seven routes — so
@@ -356,15 +356,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleSlowlog(w, r)
 	case path == "/v1/datasets":
 		if r.Method != http.MethodGet {
-			s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /v1/datasets")
+			s.reject(w, api.CodeMethod, "use GET on /v1/datasets")
 			return
 		}
-		s.admit(classCatalog, w, r, s.handleList)
+		s.admit(classCatalog, w, r, "", s.handleList)
 	case strings.HasPrefix(path, "/v1/datasets/"):
 		rest := strings.TrimPrefix(path, "/v1/datasets/")
 		name, action, _ := strings.Cut(rest, "/")
-		if !validName(name) {
-			s.reject(w, http.StatusBadRequest, codeInvalidName,
+		if !api.ValidName(name) {
+			s.reject(w, api.CodeInvalidName,
 				"dataset name must be 1-128 chars of [A-Za-z0-9._-], got %q", name)
 			return
 		}
@@ -372,86 +372,46 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case "":
 			switch r.Method {
 			case http.MethodPost:
-				s.admit(classLoad, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleLoad(ctx, w, r, name)
-				})
+				s.admit(classLoad, w, r, name, s.handleLoad)
 			case http.MethodPatch:
-				s.admit(classUpdate, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleUpdate(ctx, w, r, name)
-				})
+				s.admit(classUpdate, w, r, name, s.handleUpdate)
 			case http.MethodDelete:
-				s.admit(classCatalog, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleDelete(ctx, w, r, name)
-				})
+				s.admit(classCatalog, w, r, name, s.handleDelete)
 			default:
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST, PATCH or DELETE on /v1/datasets/{name}")
+				s.reject(w, api.CodeMethod, "use POST, PATCH or DELETE on /v1/datasets/{name}")
 			}
 		case "query":
 			if r.Method != http.MethodPost {
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST on /v1/datasets/{name}/query")
+				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/query")
 				return
 			}
-			s.admit(classQuery, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-				s.handleQuery(ctx, w, r, name)
-			})
+			s.admit(classQuery, w, r, name, s.handleQuery)
 		case "join":
 			if r.Method != http.MethodPost {
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST on /v1/datasets/{name}/join")
+				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/join")
 				return
 			}
-			s.admit(classJoin, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-				s.handleJoin(ctx, w, r, name)
-			})
+			s.admit(classJoin, w, r, name, s.handleJoin)
 		default:
-			s.reject(w, http.StatusNotFound, codeNotFound, "unknown action %q", action)
+			s.reject(w, api.CodeNotFound, "unknown action %q", action)
 		}
 	default:
-		s.reject(w, http.StatusNotFound, codeNotFound, "no route for %s", path)
+		s.reject(w, api.CodeNotFound, "no route for %s", path)
 	}
 }
 
-// ValidDatasetName reports whether a name is servable over HTTP — the
-// check the router applies. Preload paths (touchserved -load) use it to
-// fail fast instead of cataloging a dataset no request could reach.
-func ValidDatasetName(name string) bool { return validName(name) }
+// handlerFn serves one admitted request; name is the dataset named by
+// the route, empty on /v1/datasets.
+type handlerFn func(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string)
 
-// validName keeps dataset names filesystem- and metrics-label-safe.
-func validName(name string) bool {
-	if len(name) == 0 || len(name) > 128 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-type handlerFn func(ctx context.Context, w http.ResponseWriter, r *http.Request)
-
-// reqInfo is the per-request observability state threaded through the
-// handler via the request context: the server-assigned request ID, the
-// engine span, whether the client opted into the trace in its response,
-// and the dataset the request answered from (set by the handler, read
-// by admit's completion hook for the per-dataset counters).
+// reqInfo is the per-request observability state admit hands its
+// handler: the server-assigned request ID, whether the client opted
+// into the trace in its response, and the executor state (span and
+// dataset counters) admit's completion hook folds into the metrics.
 type reqInfo struct {
-	id      string
-	span    touch.Span
-	traced  bool
-	dataset string
-}
-
-type reqInfoKey struct{}
-
-// requestInfo returns the request's reqInfo, or nil outside admit (unit
-// tests calling handlers directly).
-func requestInfo(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
+	id     string
+	traced bool
+	call
 }
 
 // traceHeader is the opt-in request header: "X-Touch-Trace: 1" adds the
@@ -469,7 +429,7 @@ const requestIDHeader = "X-Touch-Request-Id"
 // records metrics. The slot is held exactly for the handler's lifetime —
 // a canceled request's engine work aborts cooperatively inside the
 // handler, so there is no abandoned computation for the slot to follow.
-func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, h handlerFn) {
+func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, name string, h handlerFn) {
 	s.met.requests[class].Add(1)
 	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
@@ -484,9 +444,7 @@ func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, h hand
 		s.met.observe(class, sr.status, d, admitted)
 		if admitted {
 			s.met.observeSpan(&ri.span)
-			if ri.dataset != "" {
-				s.met.datasetNamed(ri.dataset).add(&ri.span)
-			}
+			ri.ds.add(&ri.span)
 			s.noteSlow(&ri.span, class, sr.status, d)
 			if sr.status >= 500 {
 				s.logger().Error("request failed",
@@ -501,16 +459,15 @@ func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, h hand
 
 	if s.draining.Load() {
 		s.met.rejectDraining.Add(1)
-		writeError(sr, http.StatusServiceUnavailable, codeDraining, "server is draining for shutdown")
+		api.WriteError(sr, errDraining)
 		return
 	}
 	select {
 	case s.slots <- struct{}{}:
 	default:
 		s.met.rejectOverload.Add(1)
-		sr.Header().Set("Retry-After", "1")
-		writeError(sr, http.StatusTooManyRequests, codeOverload,
-			"server at its %d-request in-flight cap", s.cfg.MaxInFlight)
+		api.WriteError(sr, api.Errorf(api.CodeOverload,
+			"server at its %d-request in-flight cap", s.cfg.MaxInFlight))
 		return
 	}
 	ri.span.Add(trace.PhaseAdmission, time.Since(start))
@@ -525,53 +482,7 @@ func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, h hand
 	r.Body = http.MaxBytesReader(sr, r.Body, s.cfg.MaxBodyBytes)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-	h(ctx, sr, r.WithContext(ctx))
-}
-
-// recordAbort classifies a canceled computation for the reject metrics
-// — one place for the deadline-vs-disconnect distinction, shared by the
-// buffered error responses and the NDJSON mid-stream truncation path.
-// It reports whether the deadline was to blame.
-func (s *Server) recordAbort(ctx context.Context) (timedOut bool) {
-	if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-		s.met.rejectTimeout.Add(1)
-		return true
-	}
-	s.met.rejectCanceled.Add(1)
-	return false
-}
-
-// writeAborted answers a request whose computation was canceled, telling
-// budget blowouts apart from client behavior: a deadline expiry is the
-// server's own 503 timeout; anything else means the client (or its load
-// balancer) hung up — 499, written for the metrics' sake, since nobody
-// reads it.
-func (s *Server) writeAborted(ctx context.Context, w http.ResponseWriter) {
-	if s.recordAbort(ctx) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeTimeout,
-			"request exceeded the %v processing budget", s.cfg.RequestTimeout)
-		return
-	}
-	writeError(w, statusClientClosed, codeClientClosed, "client closed the connection")
-}
-
-// serving resolves the snapshot a read request answers from, writing the
-// 404 / 503-building error itself when there is none.
-func (s *Server) serving(w http.ResponseWriter, name string) (*snapshot, bool) {
-	snap, exists := s.cat.snapshot(name)
-	if !exists {
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
-		return nil, false
-	}
-	if snap == nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeBuilding,
-			"dataset %q is still building its first index version", name)
-		return nil, false
-	}
-	return snap, true
+	h(ctx, ri, sr, r.WithContext(ctx), name)
 }
 
 // --- health & metrics ---------------------------------------------------
@@ -591,10 +502,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		h.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		api.WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	api.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -607,10 +518,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // HTTP twin of the wire hello's informational field.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /version")
+		s.reject(w, api.CodeMethod, "use GET on /version")
 		return
 	}
-	writeJSON(w, http.StatusOK, VersionInfo())
+	api.WriteJSON(w, http.StatusOK, VersionInfo())
 }
 
 // handleSlowlog answers GET /debug/slowlog with the recorded slow
@@ -619,12 +530,12 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // which is exactly when someone reads it.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /debug/slowlog")
+		s.reject(w, api.CodeMethod, "use GET on /debug/slowlog")
 		return
 	}
 	if s.slow == nil {
-		writeError(w, http.StatusNotFound, codeNotFound,
-			"slow-query log disabled; start touchserved with -slow-query-ms")
+		api.WriteError(w, api.Errorf(api.CodeNotFound,
+			"slow-query log disabled; start touchserved with -slow-query-ms"))
 		return
 	}
 	entries, total := s.slow.snapshot()
@@ -640,27 +551,27 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		out.Entries[i] = slowEntryToJSON(e)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- catalog ------------------------------------------------------------
 
-func (s *Server) handleList(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+func (s *Server) handleList(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, _ string) {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Datasets []datasetInfo `json:"datasets"`
 	}{Datasets: s.cat.list()})
 }
 
-func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleDelete(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string) {
 	retired, ok := s.cat.drop(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
+		api.WriteError(w, errUnknown(name))
 		return
 	}
 	if s.persist != nil {
 		s.persist.delete(name, retired)
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Name    string `json:"name"`
 		Deleted bool   `json:"deleted"`
 	}{Name: name, Deleted: true})
@@ -679,64 +590,23 @@ type loadRequest struct {
 	} `json:"config"`
 }
 
-func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ct := r.Header.Get("Content-Type")
-	var (
-		ds  touch.Dataset
-		cfg touch.TOUCHConfig
-		err error
-	)
-	switch {
-	case strings.HasPrefix(ct, "application/json"):
-		var req loadRequest
-		if err = decodeJSONBody(r, &req); err != nil {
-			writeDecodeError(w, err)
-			return
-		}
-		if ds, err = boxesToDataset(req.Boxes); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-			return
-		}
-		// The engine treats fanout 1 as a programming error (the tree
-		// would never converge to a root) and panics — a background
-		// build panic would kill the process, so reject it here.
-		if req.Config.Fanout == 1 {
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				"config.fanout must be 0 (default) or >= 2")
-			return
-		}
-		cfg = touch.TOUCHConfig{
-			Partitions: req.Config.Partitions,
-			Fanout:     req.Config.Fanout,
-			LocalCells: min(req.Config.LocalCells, maxLocalCells),
-			Workers:    clampWorkers(req.Config.Workers),
-		}
-	case ct == "" || strings.HasPrefix(ct, "text/"):
-		if ds, err = touch.ReadDataset(r.Body); err != nil {
-			writeDecodeError(w, err)
-			return
-		}
-	default:
-		writeError(w, http.StatusUnsupportedMediaType, codeUnsupported,
-			"content type %q: send application/json boxes or a text/plain dataset", ct)
+func (s *Server) handleLoad(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string) {
+	ds, cfg, e := s.decodeLoad(r)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = s.cfg.Workers
-	}
-
 	// Builds run in the background and outlive the request's admission
 	// slot; the catalog reserves a backlog slot atomically so load
 	// floods degrade into 429s too.
 	version, accepted := s.cat.load(name, ds, cfg, false, s.cfg.MaxPendingBuilds)
 	if !accepted {
 		s.met.rejectOverload.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeOverload,
-			"server at its %d-build backlog cap", s.cfg.MaxPendingBuilds)
+		api.WriteError(w, api.Errorf(api.CodeOverload,
+			"server at its %d-build backlog cap", s.cfg.MaxPendingBuilds))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, struct {
+	api.WriteJSON(w, http.StatusAccepted, struct {
 		Name    string `json:"name"`
 		Version int64  `json:"version"`
 		Status  string `json:"status"`
@@ -744,74 +614,69 @@ func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.
 	}{Name: name, Version: version, Status: "building", Objects: len(ds)})
 }
 
-// updateRequest is the JSON body of PATCH /v1/datasets/{name}: a batch
-// of incremental updates against the serving version. Deletes apply
-// before inserts, so one batch can replace objects without tombstoning
-// its own inserts.
-type updateRequest struct {
-	// Insert holds one [minX minY minZ maxX maxY maxZ] row per new
-	// object; IDs are assigned by the server, consecutively.
-	Insert [][]float64 `json:"insert,omitempty"`
-	// Delete lists object IDs to tombstone. Unknown or already-deleted
-	// IDs are skipped silently (idempotent).
-	Delete []touch.ID `json:"delete,omitempty"`
+// decodeLoad decodes a load body — JSON boxes with a build config, or a
+// text dataset — into the dataset and the clamped build configuration.
+func (s *Server) decodeLoad(r *http.Request) (touch.Dataset, touch.TOUCHConfig, *api.Error) {
+	cfg := touch.TOUCHConfig{Workers: s.cfg.Workers}
+	switch ct := r.Header.Get("Content-Type"); {
+	case strings.HasPrefix(ct, "application/json"):
+		var req loadRequest
+		if e := api.DecodeJSON(r, &req); e != nil {
+			return nil, cfg, e
+		}
+		boxes, e := api.Boxes(req.Boxes, "box")
+		if e != nil {
+			return nil, cfg, e
+		}
+		ds, err := touch.DatasetFromBoxes(boxes)
+		if err != nil {
+			return nil, cfg, api.Errorf(api.CodeInvalidBox, "%v", err)
+		}
+		// The engine treats fanout 1 as a programming error (the tree
+		// would never converge to a root) and panics — a background
+		// build panic would kill the process, so reject it here.
+		if req.Config.Fanout == 1 {
+			return nil, cfg, api.Errorf(api.CodeBadRequest, "config.fanout must be 0 (default) or >= 2")
+		}
+		cfg.Partitions = req.Config.Partitions
+		cfg.Fanout = req.Config.Fanout
+		cfg.LocalCells = min(req.Config.LocalCells, maxLocalCells)
+		if w := clampWorkers(req.Config.Workers); w > 0 {
+			cfg.Workers = w
+		}
+		return ds, cfg, nil
+	case ct == "" || strings.HasPrefix(ct, "text/"):
+		ds, err := touch.ReadDataset(r.Body)
+		if err != nil {
+			return nil, cfg, api.DecodeError(err)
+		}
+		return ds, cfg, nil
+	default:
+		return nil, cfg, api.Errorf(api.CodeUnsupported,
+			"content type %q: send application/json boxes or a text/plain dataset", ct)
+	}
 }
 
-func (s *Server) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req updateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
+func (s *Server) handleUpdate(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string) {
+	var req api.UpdateRequest
+	e := api.DecodeJSON(r, &req)
+	var inserts []touch.Box
+	if e == nil {
+		inserts, e = api.Boxes(req.Insert, "insert")
+	}
+	var res updResult
+	if e == nil {
+		res, e = s.update(ctx, name, inserts, req.Delete)
+	}
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "update needs insert rows or delete IDs")
-		return
-	}
-	// Validate through the same hardening as a load; the validated
-	// dataset is discarded — applyUpdate assigns the real IDs.
-	inserts := make([]touch.Box, len(req.Insert))
-	for i, row := range req.Insert {
-		if len(row) != 6 {
-			writeError(w, http.StatusBadRequest, codeInvalidBox,
-				"insert %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-			return
-		}
-		inserts[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
-	}
-	if _, err := touch.DatasetFromBoxes(inserts); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-		return
-	}
-	res, st := s.cat.applyUpdate(name, inserts, req.Delete)
-	switch st {
-	case updUnknown:
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
-		return
-	case updBuilding:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeBuilding,
-			"dataset %q is still building its first index version", name)
-		return
-	case updOverflow:
-		writeError(w, http.StatusUnprocessableEntity, codeIDExhausted,
-			"inserting %d objects would exhaust the dataset's object ID space", len(inserts))
-		return
-	}
-	ids := make([]touch.ID, len(inserts))
+	ids := make([]touch.ID, res.inserted)
 	for i := range ids {
 		ids[i] = touch.ID(res.firstID) + touch.ID(i)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Name            string     `json:"name"`
-		Version         int64      `json:"version"`
-		InsertedIDs     []touch.ID `json:"inserted_ids,omitempty"`
-		Deleted         int        `json:"deleted"`
-		DeltaInserts    int        `json:"delta_inserts"`
-		DeltaTombstones int        `json:"delta_tombstones"`
-	}{
+	api.WriteJSON(w, http.StatusOK, api.UpdateResponse{
 		Name: name, Version: res.version, InsertedIDs: ids, Deleted: res.deleted,
 		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
 	})
@@ -819,45 +684,9 @@ func (s *Server) handleUpdate(ctx context.Context, w http.ResponseWriter, r *htt
 
 // --- query --------------------------------------------------------------
 
-// queryRequest is the JSON body of POST /v1/datasets/{name}/query.
-type queryRequest struct {
-	Type  string    `json:"type"` // "range" | "point" | "knn"
-	Box   []float64 `json:"box,omitempty"`
-	Point []float64 `json:"point,omitempty"`
-	K     int       `json:"k,omitempty"`
-}
-
-type neighborJSON struct {
-	ID       touch.ID `json:"id"`
-	Distance float64  `json:"distance"`
-}
-
-type queryResponse struct {
-	Dataset   string         `json:"dataset"`
-	Version   int64          `json:"version"`
-	Type      string         `json:"type"`
-	Count     int            `json:"count"`
-	IDs       []touch.ID     `json:"ids,omitempty"`
-	Neighbors []neighborJSON `json:"neighbors,omitempty"`
-	Trace     *traceJSON     `json:"trace,omitempty"`
-}
-
-// traceJSON is the X-Touch-Trace response field: the request's span —
-// phase wall times keyed by phase name (zero phases omitted), engine
-// counters, cancel cause — under the server-assigned request ID.
-type traceJSON struct {
-	RequestID   string           `json:"request_id"`
-	PhaseNs     map[string]int64 `json:"phase_ns"`
-	Comparisons int64            `json:"comparisons"`
-	NodeTests   int64            `json:"node_tests"`
-	Filtered    int64            `json:"filtered"`
-	Results     int64            `json:"results"`
-	Replicas    int64            `json:"replicas"`
-	Cancel      string           `json:"cancel"`
-}
-
-func spanTraceJSON(sp *touch.Span) *traceJSON {
-	return &traceJSON{
+// spanTrace renders a span as the X-Touch-Trace response field.
+func spanTrace(sp *touch.Span) *api.Trace {
+	return &api.Trace{
 		RequestID:   sp.RequestID,
 		PhaseNs:     spanPhaseNs(sp),
 		Comparisons: sp.Comparisons,
@@ -869,121 +698,32 @@ func spanTraceJSON(sp *touch.Span) *traceJSON {
 	}
 }
 
-func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ri := requestInfo(ctx)
-	var sp *touch.Span
-	if ri != nil {
-		sp = &ri.span
-		ri.dataset = name
-	}
+func (s *Server) handleQuery(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string) {
 	decStart := time.Now()
-	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
+	var req api.QueryRequest
+	e := api.DecodeJSON(r, &req)
+	var q api.Query
+	if e == nil {
+		q, e = req.Query()
+	}
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	sp.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, ok := s.serving(w, name)
-	if !ok {
+	ri.span.Add(trace.PhaseDecode, time.Since(decStart))
+	version, ids, nbrs, e := s.query(ctx, &ri.call, []byte(name), &q)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
+	resp := api.NewQueryResponse(name, version, q.Type, ids, nbrs)
+	if ri.traced {
+		resp.Trace = spanTrace(&ri.span)
 	}
-	// Single-probe queries run in microseconds, so the deadline is only
-	// checked at the boundary — a request whose budget is already gone
-	// (it spent it queueing upstream, or the client left) skips the work.
-	if ctx.Err() != nil {
-		s.writeAborted(ctx, w)
-		return
-	}
-	resp := queryResponse{Dataset: name, Version: snap.version, Type: req.Type}
-	switch req.Type {
-	case "range":
-		if len(req.Box) != 6 {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "range query needs a 6-number box, got %d", len(req.Box))
-			return
-		}
-		box := touch.Box{
-			Min: touch.Point{req.Box[0], req.Box[1], req.Box[2]},
-			Max: touch.Point{req.Box[3], req.Box[4], req.Box[5]},
-		}
-		ids, err := snap.engine().RangeQueryTraced(box, sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.IDs, resp.Count = ids, len(ids)
-	case "point":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, codeInvalidPoint, "point query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		ids, err := snap.engine().PointQueryTraced(req.Point[0], req.Point[1], req.Point[2], sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.IDs, resp.Count = ids, len(ids)
-	case "knn":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, codeInvalidPoint, "knn query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		nbrs, err := snap.engine().KNNTraced(touch.Point{req.Point[0], req.Point[1], req.Point[2]}, req.K, sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.Neighbors = make([]neighborJSON, len(nbrs))
-		for i, n := range nbrs {
-			resp.Neighbors[i] = neighborJSON{ID: n.ID, Distance: n.Distance}
-		}
-		resp.Count = len(nbrs)
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"unknown query type %q (want range, point or knn)", req.Type)
-		return
-	}
-	if ri != nil && ri.traced {
-		resp.Trace = spanTraceJSON(sp)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- join ---------------------------------------------------------------
-
-// joinRequest is the JSON body of POST /v1/datasets/{name}/join. Exactly
-// one of Boxes (an inline probe dataset) or Probe (the name of a loaded
-// dataset) selects the probe side.
-type joinRequest struct {
-	Boxes     [][]float64 `json:"boxes,omitempty"`
-	Probe     string      `json:"probe,omitempty"`
-	Eps       float64     `json:"eps,omitempty"`
-	Workers   int         `json:"workers,omitempty"`
-	CountOnly bool        `json:"count_only,omitempty"`
-}
-
-type joinStatsJSON struct {
-	Comparisons int64 `json:"comparisons"`
-	NodeTests   int64 `json:"node_tests"`
-	Filtered    int64 `json:"filtered"`
-	MemoryBytes int64 `json:"memory_bytes"`
-	AssignNs    int64 `json:"assign_ns"`
-	JoinNs      int64 `json:"join_ns"`
-}
-
-type joinResponse struct {
-	Dataset      string         `json:"dataset"`
-	Version      int64          `json:"version"`
-	Probe        string         `json:"probe,omitempty"`
-	ProbeVersion int64          `json:"probe_version,omitempty"`
-	ProbeObjects int            `json:"probe_objects"`
-	Count        int64          `json:"count"`
-	Pairs        [][2]touch.ID  `json:"pairs,omitempty"`
-	Stats        *joinStatsJSON `json:"stats,omitempty"`
-	Trace        *traceJSON     `json:"trace,omitempty"`
-}
 
 // ndjsonContentType is the media type selecting (and labelling) the
 // streaming join response.
@@ -1010,62 +750,31 @@ func wantsNDJSON(accept string) bool {
 	return false
 }
 
-func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ri := requestInfo(ctx)
-	var sp *touch.Span
-	if ri != nil {
-		sp = &ri.span
-		ri.dataset = name
-	}
+func (s *Server) handleJoin(ctx context.Context, ri *reqInfo, w http.ResponseWriter, r *http.Request, name string) {
 	decStart := time.Now()
-	var req joinRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
+	var req api.JoinRequest
+	e := api.DecodeJSON(r, &req)
+	var boxes []touch.Box
+	if e == nil && req.Boxes != nil {
+		boxes, e = api.Boxes(req.Boxes, "box")
+	}
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	sp.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, ok := s.serving(w, name)
-	if !ok {
-		return
+	ri.span.Add(trace.PhaseDecode, time.Since(decStart))
+	var probe []byte
+	if req.Probe != "" {
+		probe = []byte(req.Probe)
 	}
-
-	resp := joinResponse{Dataset: name, Version: snap.version}
-	var probe touch.Dataset
-	switch {
-	case req.Probe != "" && req.Boxes != nil:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "give either inline boxes or a probe name, not both")
+	p, e := s.prepareJoin(ctx, &ri.call, []byte(name), probe, boxes, req.Eps, req.Workers)
+	if e != nil {
+		api.WriteError(w, e)
 		return
-	case req.Probe != "":
-		probeSnap, ok := s.serving(w, req.Probe)
-		if !ok {
-			return
-		}
-		// dataset() folds the probe's pending updates in, so a named
-		// probe joins with the same merged state its own queries see.
-		probe = probeSnap.dataset()
-		resp.Probe, resp.ProbeVersion = req.Probe, probeSnap.version
-	case req.Boxes != nil:
-		var err error
-		if probe, err = boxesToDataset(req.Boxes); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "give inline boxes or a probe name")
-		return
-	}
-	resp.ProbeObjects = len(probe)
-
-	workers := clampWorkers(req.Workers)
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
 	}
 
 	if !req.CountOnly && wantsNDJSON(r.Header.Get("Accept")) {
-		s.streamJoin(ctx, w, snap, probe, req.Eps, workers, sp)
+		s.streamJoin(ctx, ri, w, &p)
 		return
 	}
 
@@ -1074,40 +783,31 @@ func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.
 	// there, instead of materializing |A|·|B| pairs to throw away.
 	// count_only joins carry no pairs, so their count stays exact and
 	// uncapped.
-	opt := &touch.Options{Workers: workers, NoPairs: req.CountOnly, Trace: sp}
+	limit := int64(0)
 	if !req.CountOnly {
-		opt.Limit = int64(s.cfg.MaxJoinPairs) + 1
+		limit = int64(s.cfg.MaxJoinPairs) + 1
 	}
-	// ε = 0 is the plain intersection join; Dataset.Expand(0) is the
-	// identity, so there is no expansion copy to skip.
-	res, err := snap.engine().DistanceJoinCtx(ctx, probe, req.Eps, opt)
-	switch {
-	case errors.Is(err, touch.ErrJoinCanceled):
-		s.writeAborted(ctx, w)
-		return
-	case err != nil:
-		engineError(err).write(w)
+	res, e := s.runJoin(ctx, &ri.call, &p, req.CountOnly, limit)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	resp.Count = res.Stats.Results
+	resp := api.JoinResponse{
+		Dataset: name, Version: p.snap.version,
+		Probe: req.Probe, ProbeVersion: p.probeVersion, ProbeObjects: len(p.probe),
+		Count: res.Stats.Results,
+	}
 	if !req.CountOnly {
 		if res.Stats.Results > int64(s.cfg.MaxJoinPairs) {
 			s.met.rejectLimited.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, codeResultTooLarge,
+			api.WriteError(w, api.Errorf(api.CodeResultTooLarge,
 				"join exceeds the %d-pair response cap; use count_only, the %s streaming mode, or a narrower probe",
-				s.cfg.MaxJoinPairs, ndjsonContentType)
+				s.cfg.MaxJoinPairs, ndjsonContentType))
 			return
 		}
-		// Canonical (indexed, probe) ascending order: parallel joins
-		// emit in nondeterministic order, but the wire format is
-		// stable and byte-identical to a direct Index call.
-		res.SortPairs()
-		resp.Pairs = make([][2]touch.ID, len(res.Pairs))
-		for i, p := range res.Pairs {
-			resp.Pairs[i] = [2]touch.ID{p.A, p.B}
-		}
+		resp.Pairs = api.SortedPairs(res.Pairs)
 	}
-	resp.Stats = &joinStatsJSON{
+	resp.Stats = &api.JoinStats{
 		Comparisons: res.Stats.Comparisons,
 		NodeTests:   res.Stats.NodeTests,
 		Filtered:    res.Stats.Filtered,
@@ -1115,10 +815,10 @@ func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.
 		AssignNs:    res.Stats.AssignTime.Nanoseconds(),
 		JoinNs:      res.Stats.JoinTime.Nanoseconds(),
 	}
-	if ri != nil && ri.traced {
-		resp.Trace = spanTraceJSON(sp)
+	if ri.traced {
+		resp.Trace = spanTrace(&ri.span)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // streamFlushEvery is how many NDJSON pair lines are written between
@@ -1141,21 +841,13 @@ const streamFlushInterval = 250 * time.Millisecond
 // expiry cancels the engine mid-stream; the truncated stream simply
 // ends without the trailer (the status line is long gone), and the
 // abort is recorded under its own reject reason.
-func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *snapshot, probe touch.Dataset, eps float64, workers int, sp *touch.Span) {
-	// The eps validation must run before the 200 goes on the wire, so it
-	// is checked here for the status and delegated to the engine
-	// (DistanceJoinSeq) for the semantics — expansion policy included.
-	if eps < 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidEps, "%v",
-			fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps))
-		return
-	}
+func (s *Server) streamJoin(ctx context.Context, ri *reqInfo, w http.ResponseWriter, p *joinPlan) {
 	// Last boundary check before the 200 goes on the wire: a request
 	// whose budget is already gone (or whose client already left) gets
 	// the same 503/499 the buffered path would give, not an empty
 	// trailer-less 200.
 	if ctx.Err() != nil {
-		s.writeAborted(ctx, w)
+		api.WriteError(w, s.aborted(ctx))
 		return
 	}
 	w.Header().Set("Content-Type", ndjsonContentType)
@@ -1203,22 +895,20 @@ func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *sn
 	}()
 
 	n := int64(0)
-	for p, err := range snap.engine().DistanceJoinSeq(ctx, probe, eps, &touch.Options{Workers: workers, Trace: sp}) {
+	for pair, err := range p.snap.engine().JoinSeq(ctx, p.probe, p.options(&ri.call)) {
 		if err != nil {
 			// Mid-stream failure: the 200 is already on the wire, so the
 			// truncation is the signal — plus, for cancellations, the
-			// reject metric. (A non-cancellation engine error is
-			// unreachable today: eps was validated above.)
-			if errors.Is(err, touch.ErrJoinCanceled) {
-				s.recordAbort(ctx)
-			}
+			// reject metric joinError records. (A non-cancellation engine
+			// error is unreachable: eps was validated by prepareJoin.)
+			s.joinError(ctx, err)
 			mu.Lock()
 			_ = bw.Flush()
 			mu.Unlock()
 			return
 		}
 		mu.Lock()
-		fmt.Fprintf(bw, "[%d,%d]\n", p.A, p.B)
+		fmt.Fprintf(bw, "[%d,%d]\n", pair.A, pair.B)
 		dirty = true
 		if n++; n == 1 || n%streamFlushEvery == 0 {
 			flushLocked()
@@ -1229,49 +919,4 @@ func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *sn
 	fmt.Fprintf(bw, "{\"count\":%d}\n", n)
 	_ = bw.Flush()
 	mu.Unlock()
-}
-
-// --- decoding helpers ---------------------------------------------------
-
-// decodeJSONBody decodes the request body, rejecting trailing garbage.
-func decodeJSONBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(into); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("request body has trailing data after the JSON document")
-	}
-	return nil
-}
-
-// writeDecodeError distinguishes an over-cap body (413, from
-// http.MaxBytesReader), an invalid dataset box (400 invalid_box) and
-// plain malformed input (400 bad_request).
-func writeDecodeError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-			"request body exceeds the %d-byte cap", tooLarge.Limit)
-	case errors.Is(err, touch.ErrInvalidBox):
-		writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
-	}
-}
-
-// boxesToDataset turns decoded JSON rows into a hardened Dataset.
-func boxesToDataset(rows [][]float64) (touch.Dataset, error) {
-	boxes := make([]touch.Box, len(rows))
-	for i, row := range rows {
-		if len(row) != 6 {
-			return nil, fmt.Errorf("box %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-		}
-		boxes[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
-	}
-	return touch.DatasetFromBoxes(boxes)
 }
