@@ -33,10 +33,11 @@ const (
 type cellRange struct{ lo, hi grid.Coords }
 
 // cellEntry is one replica on the sparse path: B object index idx in
-// cell key.
+// cell key, with its start bits (see startBit).
 type cellEntry struct {
-	key int64
-	idx int32
+	key   int64
+	idx   int32
+	start uint8
 }
 
 // joinScratch is the per-worker buffer arena of the join phase. All
@@ -46,22 +47,26 @@ type joinScratch struct {
 	ranges  []cellRange
 	counts  []int32     // dense path: per-cell counts → end offsets
 	ids     []int32     // B object indexes grouped by cell
+	starts  []uint8     // per replica: the dimensions its object starts in, parallel to ids
 	entries []cellEntry // sparse path: (key, idx) pairs, sorted
 	keys    []int64     // sparse path: distinct occupied cell keys
 	offs    []int32     // sparse path: run offsets into ids, len(keys)+1
 	aObjs   []geom.Object
 
-	peakBytes int64 // largest analytic grid footprint seen (merged into Tree.peakGridBytes)
+	peakBytes int64 // largest analytic grid footprint seen (merged into Probe.peakGridBytes)
 }
 
 // csrGrid is the built grid for one node: B object indexes grouped by
 // cell in one flat ids array, with either dense per-cell offsets
-// (counts) or a sorted distinct-key directory (keys/offs). All storage
-// belongs to the joinScratch that built it.
+// (counts) or a sorted distinct-key directory (keys/offs). starts runs
+// parallel to ids: each replica's start bits, which let gridProbe decide
+// reference cells without touching the B object. All storage belongs to
+// the joinScratch that built it.
 type csrGrid struct {
 	dense    bool
 	counts   []int32 // dense: counts[k] = end offset of cell k; start = counts[k-1] (0 for k=0)
 	ids      []int32
+	starts   []uint8
 	keys     []int64
 	offs     []int32
 	replicas int64
@@ -99,6 +104,10 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 		ws.ids = make([]int32, replicas)
 	}
 	ids := ws.ids[:replicas]
+	if cap(ws.starts) < int(replicas) {
+		ws.starts = make([]uint8, replicas)
+	}
+	starts := ws.starts[:replicas]
 
 	// The count and scatter passes iterate cell keys with inlined loops
 	// (instead of Grid.ForEachKey) — the callback indirection costs more
@@ -106,9 +115,9 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	occupied := int64(0)
 	for _, r := range ws.ranges {
-		for x := int64(r.lo[0]); x <= int64(r.hi[0]); x++ {
-			for y := int64(r.lo[1]); y <= int64(r.hi[1]); y++ {
-				base := (x*r1 + y) * r2
+		for x := r.lo[0]; x <= r.hi[0]; x++ {
+			for y := r.lo[1]; y <= r.hi[1]; y++ {
+				base := (int64(x)*r1 + int64(y)) * r2
 				for k := base + int64(r.lo[2]); k <= base+int64(r.hi[2]); k++ {
 					if counts[k] == 0 {
 						occupied++
@@ -124,11 +133,14 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 	}
 	for i, r := range ws.ranges {
 		bi := int32(i)
-		for x := int64(r.lo[0]); x <= int64(r.hi[0]); x++ {
-			for y := int64(r.lo[1]); y <= int64(r.hi[1]); y++ {
-				base := (x*r1 + y) * r2
-				for k := base + int64(r.lo[2]); k <= base+int64(r.hi[2]); k++ {
+		for x := r.lo[0]; x <= r.hi[0]; x++ {
+			for y := r.lo[1]; y <= r.hi[1]; y++ {
+				sxy := startBit(x, r.lo[0], 0) | startBit(y, r.lo[1], 1)
+				base := (int64(x)*r1 + int64(y)) * r2
+				for z := r.lo[2]; z <= r.hi[2]; z++ {
+					k := base + int64(z)
 					ids[counts[k]] = bi
+					starts[counts[k]] = sxy | startBit(z, r.lo[2], 2)
 					counts[k]++
 				}
 			}
@@ -136,15 +148,16 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 	}
 	// After the scatter pass counts[k] is the *end* offset of cell k
 	// (and counts[k-1] its start), exactly the CSR offsets run() needs.
-	return &csrGrid{dense: true, counts: counts, ids: ids, replicas: replicas, occupied: occupied}
+	return &csrGrid{dense: true, counts: counts, ids: ids, starts: starts, replicas: replicas, occupied: occupied}
 }
 
 func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
 	ws.entries = ws.entries[:0]
 	for i, r := range ws.ranges {
 		bi := int32(i)
-		g.ForEachKey(r.lo, r.hi, func(k int64) {
-			ws.entries = append(ws.entries, cellEntry{key: k, idx: bi})
+		grid.ForEachCell(r.lo, r.hi, func(c grid.Coords) {
+			start := startBit(c[0], r.lo[0], 0) | startBit(c[1], r.lo[1], 1) | startBit(c[2], r.lo[2], 2)
+			ws.entries = append(ws.entries, cellEntry{key: g.Key(c), idx: bi, start: start})
 		})
 	}
 	// Sorting by (key, idx) groups each cell's replicas contiguously and
@@ -161,33 +174,35 @@ func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
 		ws.ids = make([]int32, len(ws.entries))
 	}
 	ids := ws.ids[:len(ws.entries)]
+	if cap(ws.starts) < len(ws.entries) {
+		ws.starts = make([]uint8, len(ws.entries))
+	}
+	starts := ws.starts[:len(ws.entries)]
 	for i, e := range ws.entries {
 		if len(ws.keys) == 0 || ws.keys[len(ws.keys)-1] != e.key {
 			ws.keys = append(ws.keys, e.key)
 			ws.offs = append(ws.offs, int32(i))
 		}
 		ids[i] = e.idx
+		starts[i] = e.start
 	}
 	ws.offs = append(ws.offs, int32(len(ws.entries)))
 	return &csrGrid{
-		dense: false, ids: ids, keys: ws.keys, offs: ws.offs,
+		dense: false, ids: ids, starts: starts, keys: ws.keys, offs: ws.offs,
 		replicas: replicas, occupied: int64(len(ws.keys)),
 	}
 }
 
-// run returns the B object indexes hashed into the cell with the given
-// key (nil when the cell is empty).
-func (c *csrGrid) run(key int64) []int32 {
+// run returns the [start, end) offsets into ids and starts of the cell
+// with the given key (start == end when the cell is empty).
+func (c *csrGrid) run(key int64) (int32, int32) {
 	if c.dense {
 		end := c.counts[key]
 		start := int32(0)
 		if key > 0 {
 			start = c.counts[key-1]
 		}
-		if start == end {
-			return nil
-		}
-		return c.ids[start:end]
+		return start, end
 	}
 	// Binary search the distinct-key directory.
 	lo, hi := 0, len(c.keys)
@@ -200,7 +215,17 @@ func (c *csrGrid) run(key int64) []int32 {
 		}
 	}
 	if lo == len(c.keys) || c.keys[lo] != key {
-		return nil
+		return 0, 0
 	}
-	return c.ids[c.offs[lo]:c.offs[lo+1]]
+	return c.offs[lo], c.offs[lo+1]
+}
+
+// startBit returns bit d set when cell coordinate c is the object's
+// lower cell coordinate lo in dimension d: the replica sits in the cell
+// where the object starts along d.
+func startBit(c, lo, d int) uint8 {
+	if c == lo {
+		return 1 << d
+	}
+	return 0
 }

@@ -171,10 +171,11 @@ func TestCSRSparsePath(t *testing.T) {
 	}
 	lo, hi := grid.Coords{0, 0, 0}, grid.Coords{g.Res[0] - 1, g.Res[1] - 1, g.Res[2] - 1}
 	g.ForEachKey(lo, hi, func(k int64) {
-		a := slices.Clone(sparse.run(k))
-		b := slices.Clone(ref.run(k))
-		if !slices.Equal(a, b) {
-			t.Fatalf("cell %d: sparse run %v, dense run %v", k, a, b)
+		s0, s1 := sparse.run(k)
+		r0, r1 := ref.run(k)
+		if !slices.Equal(sparse.ids[s0:s1], ref.ids[r0:r1]) || !slices.Equal(sparse.starts[s0:s1], ref.starts[r0:r1]) {
+			t.Fatalf("cell %d: sparse run %v/%v, dense run %v/%v", k,
+				sparse.ids[s0:s1], sparse.starts[s0:s1], ref.ids[r0:r1], ref.starts[r0:r1])
 		}
 	})
 }

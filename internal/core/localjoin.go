@@ -97,44 +97,66 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 // node out across workers, each probing its own chunk. The worker's
 // ticker is charged one unit per candidate run entry, so a cancelled
 // join aborts within CheckEvery comparisons plus one cell run.
+//
+// Duplicates are decided on integer cell coordinates, with no float
+// arithmetic and no B object access per candidate. The reference cell
+// of a pair is the cell of the componentwise max of the two minimum
+// corners (Grid.RefCell). The point-to-cell map is monotone
+// non-decreasing in every dimension (a subtraction, a division by a
+// positive side, truncation, then a clamp), and a monotone map commutes
+// with max. So the reference cell is, bit for bit, the componentwise
+// max of the two boxes' lower cell coordinates: max(lo, bLo). In a cell
+// c that both boxes overlap, lo <= c and bLo <= c, so max(lo, bLo) == c
+// iff lo == c or bLo == c. The pair's reference cell is therefore the
+// current one iff, in every dimension, A or B starts there: A's start
+// bits come from Grid.Range, B's from the start bits buildCSR stored
+// with each replica.
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs, as []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
-	var a *geom.Object
-	probe := func(key int64) {
-		run := csr.run(key)
-		if len(run) == 0 || tk.TickN(len(run)) {
-			return
-		}
-		for _, bi := range run {
-			b := &bs[bi]
-			if postDedup {
-				// Paper mode: test in every shared cell, keep the
-				// hit only in the reference cell.
-				c.Comparisons++
-				if a.Box.Intersects(b.Box) && g.Key(g.RefCell(&a.Box, &b.Box)) == key {
-					c.Results++
-					sink.Emit(a.ID, b.ID)
-				}
-				continue
-			}
-			// Canonical-cell rule: test the pair only once.
-			if g.Key(g.RefCell(&a.Box, &b.Box)) != key {
-				continue
-			}
-			c.Comparisons++
-			if a.Box.Intersects(b.Box) {
-				c.Results++
-				sink.Emit(a.ID, b.ID)
-			}
-		}
-	}
+	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
+	const allDims = 1<<geom.Dims - 1
 	for ai := range as {
 		if tk.Stopped() {
 			return
 		}
-		a = &as[ai]
+		a := &as[ai]
 		lo, hi := g.Range(a.Box)
-		g.ForEachKey(lo, hi, probe)
+		// The cell loop is inlined rather than run through
+		// Grid.ForEachKey: the callback costs more than the loop body.
+		for x := lo[0]; x <= hi[0]; x++ {
+			for y := lo[1]; y <= hi[1]; y++ {
+				sxy := startBit(x, lo[0], 0) | startBit(y, lo[1], 1)
+				base := (int64(x)*r1 + int64(y)) * r2
+				for z := lo[2]; z <= hi[2]; z++ {
+					start, end := csr.run(base + int64(z))
+					if start == end {
+						continue
+					}
+					if tk.TickN(int(end - start)) {
+						return
+					}
+					// need holds the dimensions A does not start in:
+					// B must start in all of them.
+					need := allDims &^ (sxy | startBit(z, lo[2], 2))
+					for j := start; j < end; j++ {
+						ref := csr.starts[j]&need == need
+						// Canonical-cell rule: test the pair only in its
+						// reference cell. Paper mode (post-dedup) pays for
+						// the test in every shared cell and keeps the hit
+						// only in the reference cell.
+						if !ref && !postDedup {
+							continue
+						}
+						b := &bs[csr.ids[j]]
+						c.Comparisons++
+						if a.Box.Intersects(b.Box) && ref {
+							c.Results++
+							sink.Emit(a.ID, b.ID)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

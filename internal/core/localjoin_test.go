@@ -77,3 +77,38 @@ func TestUnknownLocalJoinPanics(t *testing.T) {
 	var c stats.Counters
 	Join(a, b, Config{LocalJoin: LocalJoinKind(7)}, nil, &c, &stats.CountSink{})
 }
+
+// TestGridLocalJoinGoldenCounts pins the grid local joins' counters to
+// exact values. The relational tests above only bound them (post-dedup
+// compares at least as much, nested the most), so a change to the
+// reference-cell dedup that moved a pair to another cell, or tested it
+// twice, would pass them; it fails here. Worker counts must not change
+// the counts either.
+func TestGridLocalJoinGoldenCounts(t *testing.T) {
+	type counts struct{ comparisons, results, replicas int64 }
+	golden := map[datagen.Distribution]map[LocalJoinKind]counts{
+		datagen.Uniform: {
+			LocalJoinGrid:          {2936, 112, 6183},
+			LocalJoinGridPostDedup: {2971, 112, 6183},
+		},
+		datagen.Clustered: {
+			LocalJoinGrid:          {1049, 29, 5820},
+			LocalJoinGridPostDedup: {1062, 29, 5820},
+		},
+	}
+	for dist, kinds := range golden {
+		a := datagen.Generate(datagen.DefaultConfig(dist, 2000, 401)).Expand(10)
+		b := datagen.Generate(datagen.DefaultConfig(dist, 6000, 402))
+		for kind, want := range kinds {
+			for _, workers := range []int{1, 2} {
+				_, c := run(t, a, b, Config{LocalJoin: kind, Workers: workers})
+				got := counts{c.Comparisons, c.Results, c.Replicas}
+				if got != want {
+					t.Errorf("%v %s workers=%d: comparisons/results/replicas %d/%d/%d, want %d/%d/%d",
+						dist, kind, workers, got.comparisons, got.results, got.replicas,
+						want.comparisons, want.results, want.replicas)
+				}
+			}
+		}
+	}
+}

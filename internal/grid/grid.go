@@ -186,8 +186,7 @@ func ForEachCell(lo, hi Coords, visit func(Coords)) {
 // value Key would return for those coordinates). The keys are computed
 // incrementally, saving the two multiplications per cell that calling
 // Key inside a ForEachCell callback would cost — the difference is
-// measurable in replica-heavy loops (PBSM assignment, TOUCH's CSR grid
-// build).
+// measurable in replica-heavy loops such as PBSM assignment.
 func (g *Grid) ForEachKey(lo, hi Coords, visit func(int64)) {
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	for x := int64(lo[0]); x <= int64(hi[0]); x++ {

@@ -175,6 +175,60 @@ func TestRefCellProperties(t *testing.T) {
 	}
 }
 
+// TestRefCellIsMaxOfRangeLo pins the identity TOUCH's local join
+// dedups on: because the point-to-cell map is monotone, the reference
+// cell of a pair is the componentwise max of the two boxes' lower cell
+// coordinates, bit for bit. Coordinates are drawn outside the universe
+// (below and beyond it), exactly on cell boundaries and on the
+// universe's upper edge; the last dimension is degenerate, collapsed to
+// a single cell.
+func TestRefCellIsMaxOfRangeLo(t *testing.T) {
+	u := geom.NewBox(geom.Point{-3.7, 0.1, 5}, geom.Point{96.2, 33.3, 5})
+	g := NewRes(u, Coords{7, 11, 5})
+	if g.Res[2] != 1 {
+		t.Fatalf("premise: degenerate dimension has %d cells, want 1", g.Res[2])
+	}
+	rng := rand.New(rand.NewSource(3))
+	coord := func(d int) float64 {
+		lo, ext := u.Min[d], u.Extent(d)
+		switch rng.Intn(4) {
+		case 0: // anywhere, including well outside the universe
+			return lo - ext + rng.Float64()*3*(ext+1)
+		case 1: // exactly on a cell boundary, the upper edge included
+			return lo + float64(rng.Intn(g.Res[d]+1))*g.CellSide(d)
+		case 2: // on the universe's edges
+			if rng.Intn(2) == 0 {
+				return u.Min[d]
+			}
+			return u.Max[d]
+		default: // inside the universe
+			return lo + rng.Float64()*ext
+		}
+	}
+	box := func() geom.Box {
+		var lo, hi geom.Point
+		for d := 0; d < geom.Dims; d++ {
+			lo[d], hi[d] = coord(d), coord(d)
+			if lo[d] > hi[d] {
+				lo[d], hi[d] = hi[d], lo[d]
+			}
+		}
+		return geom.NewBox(lo, hi)
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := box(), box()
+		loA, _ := g.Range(a)
+		loB, _ := g.Range(b)
+		var want Coords
+		for d := 0; d < geom.Dims; d++ {
+			want[d] = max(loA[d], loB[d])
+		}
+		if got := g.RefCell(&a, &b); got != want {
+			t.Fatalf("a=%v b=%v: RefCell %v, max of range lows %v", a, b, got, want)
+		}
+	}
+}
+
 func TestForEachCellVisitsAllOnce(t *testing.T) {
 	lo, hi := Coords{1, 2, 3}, Coords{3, 2, 5}
 	seen := make(map[Coords]int)

@@ -196,7 +196,8 @@ func IsNoBackend(err error) bool { return errors.Is(err, errNoBackend) }
 // owners in a first pass, ejected ones as a last resort — failing over
 // on connection-level errors until fn succeeds, a backend answers
 // authoritatively (a ServerError is an answer, not a failover trigger),
-// or the caller's context expires.
+// or the caller's context expires. A draining backend refused the read
+// without running it, so its error is not an answer: it fails over.
 func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Context, *client.Conn) error) error {
 	owners := rt.owners(dataset)
 	tried := 0
@@ -218,7 +219,7 @@ func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Cont
 				return nil
 			}
 			var se *client.ServerError
-			if errors.As(err, &se) {
+			if errors.As(err, &se) && se.Code != api.CodeDraining {
 				return err
 			}
 			lastErr = err

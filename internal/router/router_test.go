@@ -304,6 +304,50 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestReadFailsOverFromDrainingBackend pins that a backend's draining
+// refusal is not an answer: the read was never run, so the router tries
+// the next owner. A kill under load hits the same refusal for frames
+// that race the wire shutdown.
+func TestReadFailsOverFromDrainingBackend(t *testing.T) {
+	ds := touch.GenerateUniform(300, 3)
+	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
+	b1 := startBackend(t, "r1", map[string]touch.Dataset{"d": ds})
+	backends := map[string]*testBackend{"r0": b0, "r1": b1}
+	rt := startRouter(t, 2, b0.addr, b1.addr)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.ServeWire(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rt.ShutdownWire(ctx)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := client.Dial(ctx, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	box := touch.Box{Max: touch.Point{700, 700, 700}}
+	_, want, err := conn.Range(ctx, "d", box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends[rt.Owners("d")[0]].srv.BeginShutdown()
+	_, got, err := conn.Range(ctx, "d", box)
+	if err != nil {
+		t.Fatalf("read with the primary draining: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read with the primary draining: %d ids, want %d", len(got), len(want))
+	}
+}
+
 // TestFailoverUnderLoad is the acceptance scenario: R=2, reads flowing
 // through the router's wire front, one backend killed mid-load. Zero
 // reads may fail, every answer must match the oracle computed before

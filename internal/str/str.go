@@ -18,19 +18,23 @@ import (
 	"touch/internal/geom"
 )
 
-// keyed pairs an item with its precomputed sort point. Extracting the
-// center once per item instead of twice per comparison keeps the sort —
-// the dominant cost of tree building — working on a flat key it can
-// compare without calling back into the caller.
-type keyed[T any] struct {
-	c    geom.Point
-	item T
+// keyed pairs an item's index with its precomputed sort point.
+// Extracting the center once per item instead of twice per comparison
+// keeps the sort — the dominant cost of tree building — working on a
+// flat key it can compare without calling back into the caller. The
+// record holds the index, not the item, so it stays 32 bytes and the
+// sort's swaps stay cheap whatever the item's size; the items are
+// gathered once, when each group is materialized.
+type keyed struct {
+	c geom.Point
+	i int32
 }
 
 // Pack groups items into tiles of at most groupSize elements using STR.
 // The center function extracts the point used for sorting (typically the
 // MBR center); it is called exactly once per item. The input slice is
-// not modified. groupSize must be >= 1.
+// not modified. groupSize must be >= 1, and len(items) must fit in an
+// int32.
 //
 // Every input item appears in exactly one output group, and every group
 // except possibly the last few is full.
@@ -38,28 +42,31 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 	if groupSize < 1 {
 		panic("str: groupSize must be >= 1")
 	}
+	if len(items) > math.MaxInt32 {
+		panic("str: more than MaxInt32 items")
+	}
 	if len(items) == 0 {
 		return nil
 	}
-	work := make([]keyed[T], len(items))
+	work := make([]keyed, len(items))
 	for i, it := range items {
-		work[i] = keyed[T]{c: center(it), item: it}
+		work[i] = keyed{c: center(it), i: int32(i)}
 	}
 	out := make([][]T, 0, (len(items)+groupSize-1)/groupSize)
-	return pack(work, groupSize, 0, out)
+	return pack(items, work, groupSize, 0, out)
 }
 
 // pack recursively tiles work on dimensions dim..Dims-1, appending the
-// resulting groups to out.
-func pack[T any](work []keyed[T], groupSize, dim int, out [][]T) [][]T {
+// resulting groups of items to out.
+func pack[T any](items []T, work []keyed, groupSize, dim int, out [][]T) [][]T {
 	n := len(work)
 	if n == 0 {
 		return out
 	}
 	if n <= groupSize {
-		return append(out, extract(work))
+		return append(out, extract(items, work))
 	}
-	slices.SortFunc(work, func(a, b keyed[T]) int {
+	slices.SortFunc(work, func(a, b keyed) int {
 		return cmp.Compare(a.c[dim], b.c[dim])
 	})
 	if dim == geom.Dims-1 {
@@ -69,7 +76,7 @@ func pack[T any](work []keyed[T], groupSize, dim int, out [][]T) [][]T {
 			if end > n {
 				end = n
 			}
-			out = append(out, extract(work[i:end]))
+			out = append(out, extract(items, work[i:end]))
 		}
 		return out
 	}
@@ -86,16 +93,16 @@ func pack[T any](work []keyed[T], groupSize, dim int, out [][]T) [][]T {
 		if end > n {
 			end = n
 		}
-		out = pack(work[i:end:end], groupSize, dim+1, out)
+		out = pack(items, work[i:end:end], groupSize, dim+1, out)
 	}
 	return out
 }
 
-// extract materializes one group from the keyed working slice.
-func extract[T any](ks []keyed[T]) []T {
+// extract materializes one group, gathering the items ks refers to.
+func extract[T any](items []T, ks []keyed) []T {
 	g := make([]T, len(ks))
-	for i := range ks {
-		g[i] = ks[i].item
+	for j := range ks {
+		g[j] = items[ks[j].i]
 	}
 	return g
 }

@@ -1,7 +1,10 @@
 package str
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +199,119 @@ func TestPackGeneric(t *testing.T) {
 	for i := range flat {
 		if flat[i] != i+1 {
 			t.Fatalf("groups not in sorted contiguous order: %v", groups)
+		}
+	}
+}
+
+// refPack is the reference STR packer: it sorts full (center, item)
+// records, the layout Pack used before it sorted (center, index)
+// records. With distinct centers along every dimension each sort has a
+// unique outcome, so Pack must produce exactly its groups, in order.
+func refPack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
+	type rec struct {
+		c    geom.Point
+		item T
+	}
+	work := make([]rec, len(items))
+	for i, it := range items {
+		work[i] = rec{center(it), it}
+	}
+	var out [][]T
+	var tile func(work []rec, dim int)
+	tile = func(work []rec, dim int) {
+		n := len(work)
+		if n == 0 {
+			return
+		}
+		group := func(rs []rec) {
+			g := make([]T, len(rs))
+			for i := range rs {
+				g[i] = rs[i].item
+			}
+			out = append(out, g)
+		}
+		if n <= groupSize {
+			group(work)
+			return
+		}
+		slices.SortFunc(work, func(a, b rec) int { return cmp.Compare(a.c[dim], b.c[dim]) })
+		if dim == geom.Dims-1 {
+			for i := 0; i < n; i += groupSize {
+				group(work[i:min(i+groupSize, n)])
+			}
+			return
+		}
+		p := (n + groupSize - 1) / groupSize
+		s := max(int(math.Ceil(math.Pow(float64(p), 1/float64(geom.Dims-dim)))), 1)
+		slab := (n + s - 1) / s
+		for i := 0; i < n; i += slab {
+			tile(work[i:min(i+slab, n)], dim+1)
+		}
+	}
+	tile(work, 0)
+	return out
+}
+
+// distinctCenters reports whether no two items share a center
+// coordinate along any dimension.
+func distinctCenters[T any](items []T, center func(T) geom.Point) bool {
+	for d := 0; d < geom.Dims; d++ {
+		seen := make(map[float64]bool, len(items))
+		for _, it := range items {
+			v := center(it)[d]
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+		}
+	}
+	return true
+}
+
+func TestPackMatchesFullRecordReference(t *testing.T) {
+	type node struct {
+		id  int
+		mbr geom.Box
+	}
+	nodeCenter := func(n *node) geom.Point { return n.mbr.Center() }
+	for _, n := range []int{1, 9, 100, 1000, 4097} {
+		for _, g := range []int{1, 3, 16, 100} {
+			ds := datagen.UniformSet(n, int64(n+g))
+			if !distinctCenters(ds, center) {
+				t.Fatalf("n=%d: premise: centers not distinct", n)
+			}
+			if got, want := Pack(ds, center, g), refPack(ds, center, g); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("objects n=%d g=%d: Pack groups differ from the reference", n, g)
+			}
+			nodes := make([]*node, len(ds))
+			for i, o := range ds {
+				nodes[i] = &node{id: i, mbr: o.Box}
+			}
+			if got, want := Pack(nodes, nodeCenter, g), refPack(nodes, nodeCenter, g); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("nodes n=%d g=%d: Pack groups differ from the reference", n, g)
+			}
+		}
+	}
+}
+
+func TestPackIdenticalCentersCoversEveryItemOnce(t *testing.T) {
+	items := make([]int, 1000)
+	for i := range items {
+		items[i] = i
+	}
+	same := func(int) geom.Point { return geom.Point{5, 5, 5} }
+	seen := make([]int, len(items))
+	for _, grp := range Pack(items, same, 7) {
+		if len(grp) == 0 || len(grp) > 7 {
+			t.Fatalf("bad group size %d", len(grp))
+		}
+		for _, v := range grp {
+			seen[v]++
+		}
+	}
+	for v, k := range seen {
+		if k != 1 {
+			t.Fatalf("item %d appears %d times", v, k)
 		}
 	}
 }
